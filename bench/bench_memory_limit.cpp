@@ -415,8 +415,9 @@ int main() {
         cell.kstream_peak = device.global_peak();
       }
 
-      // The auto-tuned 2-D plan halves n_block until one halo-padded tile
-      // fits, then completes with the ledger peak under the budget.
+      // The auto-tuned 2-D plan takes the halving candidate with the
+      // fewest halo-padded tiles that fit, then completes with the ledger
+      // peak under the budget.
       {
         kreg::spmd::Device device(part4_props);
         kreg::SpmdSelectorConfig cfg;

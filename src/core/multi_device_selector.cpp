@@ -299,30 +299,23 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
               });
             }
 
-            // Lane accumulation: thread `lane` folds this block's
-            // residuals for slice-local rows ≡ lane (mod lane_dim),
-            // ascending — phase 1 of the per-device resident reduction
-            // continued across n-blocks.
-            device.launch("score_lane_accum", spmd::LaunchConfig{1, lane_dim},
-                          [&, nb, kb, n0, b0](const spmd::ThreadCtx& t) {
-              const std::size_t lane = t.global_idx();
-              const std::size_t start =
-                  detail::first_lane_row(n0, lane, lane_dim);
-              for (std::size_t b = 0; b < kb; ++b) {
-                for (std::size_t r = start; r < nb; r += lane_dim) {
-                  lanes[(b0 + b) * lane_dim + lane] +=
-                      resid_all[b * nb + r];
-                }
-              }
-            });
+            // Phase 1 of the per-device resident reduction, continued
+            // across n-blocks (slice-local rows).
+            detail::lane_fold<Scalar>(device, "score_lane_accum", lanes, b0,
+                                      resid_all,
+                                      spmd::RowLayout::contiguous(kb, nb), n0,
+                                      lane_dim);
           }
         }
 
-        // Phase-2 replay: one tree reduction per bandwidth, same variant
-        // as the per-device resident reduce_sum.
+        // Phase-2 replay over every bandwidth, same variant as the
+        // per-device resident reduction.
+        std::vector<Scalar> totals(k);
+        detail::lane_tree_reduce<Scalar>(device, lanes, lane_dim,
+                                         config.reduce_variant,
+                                         std::span<Scalar>(totals));
         for (std::size_t b = 0; b < k; ++b) {
-          combined[b] += static_cast<double>(detail::lane_tree_reduce<Scalar>(
-              device, lanes, b * lane_dim, lane_dim, config.reduce_variant));
+          combined[b] += static_cast<double>(totals[b]);
         }
         continue;
       }
@@ -352,6 +345,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
       spmd::MemView<Scalar> resid_all = d_resid.view();
 
       const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(rows, tpb);
+      std::vector<Scalar> totals(plan.k_block);
 
       std::vector<std::uint32_t> slice_order;
       if (lane_width > 1) {
@@ -448,10 +442,12 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
           });
         }
 
+        spmd::reduce_sum_rows<Scalar>(device, resid_all,
+                                      spmd::RowLayout::contiguous(kb, rows),
+                                      std::span<Scalar>(totals), tpb,
+                                      config.reduce_variant);
         for (std::size_t b = 0; b < kb; ++b) {
-          combined[b0 + b] += static_cast<double>(spmd::reduce_sum<Scalar>(
-              device, resid_all.subview(b * rows, rows), tpb,
-              config.reduce_variant));
+          combined[b0 + b] += static_cast<double>(totals[b]);
         }
       }
     }
@@ -529,13 +525,11 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
           [&](std::size_t b, Scalar sq) { resid_all[b * rows + r] = sq; });
     });
 
-    // Per-bandwidth slice reductions on this device.
+    // Per-bandwidth slice reductions on this device, in one launch.
     spmd::MemView<Scalar> scores = d_scores.view();
-    for (std::size_t b = 0; b < k; ++b) {
-      scores[b] = spmd::reduce_sum<Scalar>(device,
-                                           resid_all.subview(b * rows, rows),
-                                           tpb, config.reduce_variant);
-    }
+    spmd::reduce_sum_rows<Scalar>(device, resid_all,
+                                  spmd::RowLayout::contiguous(k, rows), scores,
+                                  tpb, config.reduce_variant);
     for (std::size_t b = 0; b < k; ++b) {
       combined[b] += static_cast<double>(scores[b]);
     }

@@ -93,6 +93,7 @@ SelectionResult run_streamed_kde_selection(
   const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(n, tpb);
 
   std::vector<double> scores_out(k);
+  std::vector<double> totals(plan.k_block);
   std::size_t best_index = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
@@ -141,13 +142,16 @@ SelectionResult run_streamed_kde_selection(
       lhi_all[i] = loo_sweep.hi;
     });
 
-    // Reduce this block's partials to per-bandwidth totals right away.
+    // Reduce this block's partials to per-bandwidth totals right away, in
+    // one launch.
+    spmd::reduce_sum_rows<double>(device, partial_all,
+                                  spmd::RowLayout::contiguous(kb, n),
+                                  std::span<double>(totals), tpb,
+                                  config.reduce_variant);
     for (std::size_t b = 0; b < kb; ++b) {
-      const double partial_total = spmd::reduce_sum<double>(
-          device, partial_all.subview(b * n, n), tpb, config.reduce_variant);
       const double score =
           roughness_value / (static_cast<double>(n) * grid[b0 + b]) +
-          partial_total;
+          totals[b];
       scores_out[b0 + b] = score;
       if (score < best_score) {  // strict <: smallest index wins ties
         best_score = score;
@@ -286,33 +290,26 @@ SelectionResult run_streamed_2d_kde_selection(
         lhi_all[r] = loo_sweep.hi;
       });
 
-      // Lane accumulation: thread `lane` folds this block's partials for
-      // global rows ≡ lane (mod lane_dim), ascending, straight into the
-      // carried accumulator — phase 1 of the resident reduction continued
-      // across n-blocks.
-      device.launch("lscv_lane_accum", spmd::LaunchConfig{1, lane_dim},
-                    [&, nb, kb, n0, b0](const spmd::ThreadCtx& t) {
-        const std::size_t lane = t.global_idx();
-        const std::size_t start = detail::first_lane_row(n0, lane, lane_dim);
-        for (std::size_t b = 0; b < kb; ++b) {
-          for (std::size_t r = start; r < nb; r += lane_dim) {
-            lanes[(b0 + b) * lane_dim + lane] += partial_all[b * nb + r];
-          }
-        }
-      });
+      // Phase 1 of the resident reduction, continued across n-blocks.
+      detail::lane_fold<double>(device, "lscv_lane_accum", lanes, b0,
+                                partial_all,
+                                spmd::RowLayout::contiguous(kb, nb), n0,
+                                lane_dim);
     }
   }
 
-  // Phase-2 replay: one tree reduction per bandwidth over its carried
-  // lanes, with the same variant the resident reduction uses.
+  // Phase-2 replay over every bandwidth's carried lanes, with the same
+  // variant the resident reduction uses.
+  std::vector<double> totals(k);
+  detail::lane_tree_reduce<double>(device, lanes, lane_dim,
+                                   config.reduce_variant,
+                                   std::span<double>(totals));
   std::vector<double> scores_out(k);
   std::size_t best_index = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t b = 0; b < k; ++b) {
-    const double partial_total = detail::lane_tree_reduce<double>(
-        device, lanes, b * lane_dim, lane_dim, config.reduce_variant);
     const double score =
-        roughness_value / (static_cast<double>(n) * grid[b]) + partial_total;
+        roughness_value / (static_cast<double>(n) * grid[b]) + totals[b];
     scores_out[b] = score;
     if (score < best_score) {  // strict <: smallest index wins ties
       best_score = score;
@@ -475,22 +472,29 @@ SelectionResult SpmdKdeSelector::select(std::span<const double> xs,
         }
       });
 
-  // Single-block reductions (k window, 2k per-row), then assemble the
-  // LSCV scores.
+  // Single-block reductions, one launch per matrix (the window partials,
+  // or the per-row conv and loo sums), then assemble the LSCV scores.
   spmd::MemView<double> scores = d_scores.view();
-  for (std::size_t b = 0; b < k; ++b) {
-    if (window) {
-      const double partial_total = spmd::reduce_sum<double>(
-          device_, partial_all.subview(b * n, n), tpb, config_.reduce_variant);
-      scores[b] = roughness_value / (static_cast<double>(n) * grid[b]) +
-                  partial_total;
-    } else {
-      const double conv_total = spmd::reduce_sum<double>(
-          device_, conv_all.subview(b * n, n), tpb, config_.reduce_variant);
-      const double loo_total = spmd::reduce_sum<double>(
-          device_, loo_all.subview(b * n, n), tpb, config_.reduce_variant);
-      scores[b] = detail::assemble_lscv(roughness_value, conv_total,
-                                        loo_total, n, grid[b]);
+  const auto row_sums = [&](spmd::MemView<double> matrix) {
+    std::vector<double> sums(k);
+    spmd::reduce_sum_rows<double>(device_, matrix,
+                                  spmd::RowLayout::contiguous(k, n),
+                                  std::span<double>(sums), tpb,
+                                  config_.reduce_variant);
+    return sums;
+  };
+  if (window) {
+    const std::vector<double> partial = row_sums(partial_all);
+    for (std::size_t b = 0; b < k; ++b) {
+      scores[b] =
+          roughness_value / (static_cast<double>(n) * grid[b]) + partial[b];
+    }
+  } else {
+    const std::vector<double> conv = row_sums(conv_all);
+    const std::vector<double> loo = row_sums(loo_all);
+    for (std::size_t b = 0; b < k; ++b) {
+      scores[b] =
+          detail::assemble_lscv(roughness_value, conv[b], loo[b], n, grid[b]);
     }
   }
   const spmd::ArgminResult<double> best = spmd::reduce_argmin<double>(

@@ -85,36 +85,25 @@ std::vector<std::uint32_t> sigma_launch_order(std::span<const Scalar> host_x,
                            sigma_position_bucket(sizeof(Scalar)));
 }
 
-/// Single-block cooperative sum over values[j * stride + offset] for
-/// j < count: the observation-major score reduction, shared by the resident
-/// sweep (stride = k) and the streamed sweep (stride = k_block).
-template <class Scalar>
-Scalar strided_score_reduce(spmd::Device& device,
-                            spmd::MemView<Scalar> values, std::size_t count,
-                            std::size_t stride, std::size_t offset,
-                            std::size_t block_dim) {
-  Scalar total{};
-  device.launch_cooperative(
-      "strided_score_reduce", spmd::LaunchConfig{1, block_dim},
-      block_dim * sizeof(Scalar), [&](spmd::BlockCtx& ctx) {
-        auto shared = ctx.template shared_as<Scalar>(block_dim);
-        ctx.for_each_thread([&](std::size_t tid) {
-          Scalar acc{};
-          for (std::size_t j = tid; j < count; j += block_dim) {
-            acc += values[j * stride + offset];
-          }
-          shared[tid] = acc;
-        });
-        for (std::size_t s = block_dim / 2; s > 0; s /= 2) {
-          ctx.for_each_thread([&](std::size_t tid) {
-            if (tid < s) {
-              shared[tid] += shared[tid + s];
-            }
-          });
-        }
-        total = shared[0];
-      });
-  return total;
+/// The residual matrix's rows as the score reduction walks them:
+/// `bandwidths` rows of `observations` residuals, bandwidth-major (one
+/// contiguous row per bandwidth) or observation-major (stride =
+/// bandwidths).
+spmd::RowLayout residual_rows(bool bandwidth_major, std::size_t bandwidths,
+                              std::size_t observations) {
+  return bandwidth_major
+             ? spmd::RowLayout::contiguous(bandwidths, observations)
+             : spmd::RowLayout::interleaved(bandwidths, observations);
+}
+
+/// The Harris schedule of the per-bandwidth score sums: the configured
+/// variant for bandwidth-major rows; observation-major rows have always
+/// reduced sequentially, and streamed plans replay whichever the resident
+/// plan of the same layout runs.
+spmd::ReduceVariant score_variant(const SpmdSelectorConfig& config) {
+  return config.layout == ResidualLayout::kBandwidthMajor
+             ? config.reduce_variant
+             : spmd::ReduceVariant::kSequential;
 }
 
 /// The k-block streamed window sweep (tentpole of the streaming extension):
@@ -168,8 +157,6 @@ SelectionResult run_streamed_window_selection(
   spmd::MemView<Scalar> resid_all = d_resid.view();
 
   const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(n, tpb);
-  const std::size_t block_dim =
-      spmd::detail::reduction_block_dim(device, tpb);
 
   // Lane batching: σ-order computed once (the windows only grow, so the
   // h_max key is valid for every k-block) and captured as launch metadata.
@@ -183,6 +170,7 @@ SelectionResult run_streamed_window_selection(
   const std::span<const std::uint32_t> order_s(order);
 
   std::vector<double> cv(k);
+  std::vector<Scalar> totals(plan.k_block);
   std::size_t best_index = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
@@ -269,19 +257,15 @@ SelectionResult run_streamed_window_selection(
       });
     }
 
-    // Reduce the block to its kb per-bandwidth sums right away; only the
-    // score totals and the running argmin survive the pass.
+    // Reduce the block to its kb per-bandwidth sums right away, in one
+    // launch; only the score totals and the running argmin survive the pass.
+    spmd::reduce_sum_rows<Scalar>(device, resid_all,
+                                  residual_rows(bandwidth_major, kb, n),
+                                  std::span<Scalar>(totals), tpb,
+                                  score_variant(config));
     for (std::size_t b = 0; b < kb; ++b) {
-      Scalar total;
-      if (bandwidth_major) {
-        total = spmd::reduce_sum<Scalar>(device, resid_all.subview(b * n, n),
-                                         tpb, config.reduce_variant);
-      } else {
-        total = strided_score_reduce<Scalar>(device, resid_all, n, kb, b,
-                                             block_dim);
-      }
       const double score =
-          static_cast<double>(total) / static_cast<double>(n);
+          static_cast<double>(totals[b]) / static_cast<double>(n);
       cv[b0 + b] = score;
       if (score < best_score) {  // strict <: smallest index wins ties, the
         best_score = score;      // same order as the device argmin
@@ -482,38 +466,26 @@ SelectionResult run_streamed_2d_window_selection(
         });
       }
 
-      // Lane accumulation: thread `lane` folds this block's residuals for
-      // global rows ≡ lane (mod lane_dim) — ascending, element by element,
-      // straight into the carried accumulator — phase 1 of the resident
-      // reduction continued across blocks.
-      device.launch("score_lane_accum", spmd::LaunchConfig{1, lane_dim},
-                    [&, nb, kb, n0, b0](const spmd::ThreadCtx& t) {
-        const std::size_t lane = t.global_idx();
-        const std::size_t start = detail::first_lane_row(n0, lane, lane_dim);
-        for (std::size_t b = 0; b < kb; ++b) {
-          for (std::size_t r = start; r < nb; r += lane_dim) {
-            lanes[(b0 + b) * lane_dim + lane] +=
-                resid_all[bandwidth_major ? b * nb + r : r * kb + b];
-          }
-        }
-      });
+      // Phase 1 of the resident reduction, continued across n-blocks.
+      detail::lane_fold<Scalar>(device, "score_lane_accum", lanes, b0,
+                                resid_all,
+                                residual_rows(bandwidth_major, kb, nb), n0,
+                                lane_dim);
     }
   }
 
-  // Phase-2 replay: one tree reduction per bandwidth over its carried
-  // lanes. The resident observation-major path reduces through the
-  // hardcoded-sequential strided kernel, so only bandwidth-major honours
-  // the configured variant.
-  const spmd::ReduceVariant variant = bandwidth_major
-                                          ? config.reduce_variant
-                                          : spmd::ReduceVariant::kSequential;
+  // Phase-2 replay over every bandwidth's carried lanes, with the schedule
+  // the resident plan of the same layout runs.
+  std::vector<Scalar> totals(k);
+  detail::lane_tree_reduce<Scalar>(device, lanes, lane_dim,
+                                   score_variant(config),
+                                   std::span<Scalar>(totals));
   std::vector<double> cv(k);
   std::size_t best_index = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t b = 0; b < k; ++b) {
-    const Scalar total = detail::lane_tree_reduce<Scalar>(
-        device, lanes, b * lane_dim, lane_dim, variant);
-    const double score = static_cast<double>(total) / static_cast<double>(n);
+    const double score =
+        static_cast<double>(totals[b]) / static_cast<double>(n);
     cv[b] = score;
     if (score < best_score) {  // strict <: smallest index wins ties
       best_score = score;
@@ -529,6 +501,42 @@ SelectionResult run_streamed_2d_window_selection(
   result.evaluations = k;
   result.method = std::move(method_name);
   return result;
+}
+
+/// The window sweep's (n-block × k-block) plan for sorted `host_x` and a
+/// k-point grid reaching `reach` = h_max: resolve_streaming_2d against this
+/// problem's byte model and the device's global-memory budget. Small
+/// problems stay resident, n-resident k-blocks take over when only the n×k
+/// residual matrix is over budget, and the observations tile too (halo slab
+/// + lane-carried scores) once even the O(n) carry state would not fit.
+template <class Scalar>
+StreamingPlan window_plan(const spmd::Device& device,
+                          const SpmdSelectorConfig& config,
+                          std::span<const Scalar> host_x, Scalar reach,
+                          std::size_t k) {
+  const std::size_t n = host_x.size();
+  const std::size_t elem = sizeof(Scalar);
+  const std::size_t terms = sweep_polynomial(config.kernel).max_power + 1;
+  const std::size_t tpb = std::min(config.threads_per_block,
+                                   device.properties().max_threads_per_block);
+  const std::size_t lane_dim = spmd::detail::reduction_block_dim(device, tpb);
+  const auto tile_bytes = [&, n, k](std::size_t nb,
+                                    std::size_t kb) -> std::size_t {
+    if (nb >= n) {
+      // n-resident: the 1-D streamed path's model (no slab, no lanes).
+      return SpmdGridSelector::estimated_streamed_bytes(
+          n, kb, config.precision, config.kernel);
+    }
+    const std::size_t slab = detail::max_halo_span(host_x, 0, n, nb, reach);
+    return 2 * slab * elem +
+           nb * (2 * terms * elem + 2 * sizeof(std::size_t)) +
+           nb * kb * elem + k * lane_dim * elem;
+  };
+  return resolve_streaming_2d(
+      config.stream, n, k,
+      SpmdGridSelector::estimated_bytes(n, k, config.precision,
+                                        config.streaming, config.algorithm),
+      tile_bytes, device.properties().memory_budget().global_bytes);
 }
 
 template <class Scalar>
@@ -570,35 +578,11 @@ SelectionResult run_device_selection(spmd::Device& device,
   }
 
   // --- Streaming decision (window algorithm only) -------------------------
-  // Resolve the 2-D (n-block × k-block) plan against this problem's byte
-  // model and the device's global-memory budget. The default plan keeps
-  // small problems resident — bit-for-bit the pre-streaming code path —
-  // switches to n-resident k-blocks when only the n×k residual matrix is
-  // over budget, and tiles the observations too (halo slab + lane-carried
-  // scores) once even the O(n) carry state would not fit.
+  // The default plan keeps small problems resident — bit-for-bit the
+  // pre-streaming code path (see window_plan).
   if (window) {
-    const std::size_t elem = sizeof(Scalar);
-    const std::size_t terms = poly.max_power + 1;
-    const std::size_t lane_dim = spmd::detail::reduction_block_dim(device, tpb);
-    const Scalar reach = host_grid.back();
-    const std::span<const Scalar> xs_host(host_x);
-    const auto tile_bytes = [&, n, k](std::size_t nb,
-                                      std::size_t kb) -> std::size_t {
-      if (nb >= n) {
-        // n-resident: the 1-D streamed path's model (no slab, no lanes).
-        return SpmdGridSelector::estimated_streamed_bytes(
-            n, kb, config.precision, config.kernel);
-      }
-      const std::size_t slab = detail::max_halo_span(xs_host, 0, n, nb, reach);
-      return 2 * slab * elem +
-             nb * (2 * terms * elem + 2 * sizeof(std::size_t)) +
-             nb * kb * elem + k * lane_dim * elem;
-    };
-    const StreamingPlan plan = resolve_streaming_2d(
-        config.stream, n, k,
-        SpmdGridSelector::estimated_bytes(n, k, config.precision,
-                                          config.streaming, config.algorithm),
-        tile_bytes, device.properties().memory_budget().global_bytes);
+    const StreamingPlan plan = window_plan<Scalar>(
+        device, config, std::span<const Scalar>(host_x), host_grid.back(), k);
     if (plan.n_streamed) {
       return run_streamed_2d_window_selection<Scalar>(
           device, config, host_x, host_y, host_grid, grid, plan, tpb, poly,
@@ -746,22 +730,13 @@ SelectionResult run_device_selection(spmd::Device& device,
   }
 
   // --- Reductions (paper §IV-B) --------------------------------------------
-  // One single-block sum reduction per bandwidth. Bandwidth-major layout
-  // reads a contiguous run; observation-major reads with stride k.
+  // One single-block sum reduction per bandwidth, all k in one launch.
+  // Bandwidth-major layout reads a contiguous run; observation-major reads
+  // with stride k.
   spmd::MemView<Scalar> scores = d_scores.view();
-  const std::size_t block_dim = spmd::detail::reduction_block_dim(
-      device, tpb);
-  for (std::size_t b = 0; b < k; ++b) {
-    if (bandwidth_major) {
-      scores[b] = spmd::reduce_sum<Scalar>(
-          device, resid_all.subview(b * n, n), tpb,
-          config.reduce_variant);
-    } else {
-      // Strided single-block reduction over resid[j*k + b].
-      scores[b] =
-          strided_score_reduce<Scalar>(device, resid_all, n, k, b, block_dim);
-    }
-  }
+  spmd::reduce_sum_rows<Scalar>(device, resid_all,
+                                residual_rows(bandwidth_major, k, n), scores,
+                                tpb, score_variant(config));
 
   // Argmin reduction over the k scores (2T shared elements: values +
   // payload, per the paper; index payload per its footnote 2).
@@ -806,6 +781,25 @@ SelectionResult SpmdGridSelector::select(const data::Dataset& data,
                                            name())
              : run_device_selection<double>(device_, config_, data, grid,
                                             name());
+}
+
+StreamingPlan SpmdGridSelector::streaming_plan(
+    const data::Dataset& data, const BandwidthGrid& grid) const {
+  if (config_.algorithm != SweepAlgorithm::kWindow) {
+    StreamingPlan resident;
+    resident.n_block = data.size();
+    resident.k_block = grid.size();
+    return resident;
+  }
+  const auto plan = [&](auto scalar) {
+    using Scalar = decltype(scalar);
+    const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
+    return window_plan<Scalar>(device_, config_,
+                               std::span<const Scalar>(sorted.x),
+                               static_cast<Scalar>(grid.max()), grid.size());
+  };
+  return config_.precision == Precision::kFloat ? plan(float{})
+                                                : plan(double{});
 }
 
 std::string SpmdGridSelector::name() const {

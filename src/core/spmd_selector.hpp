@@ -95,9 +95,9 @@ struct SpmdSelectorConfig {
 ///      bandwidth-specific sums into two n×k matrices, then loop over the k
 ///      bandwidths computing (Y_j − ĝ₋ⱼ(X_j))²·M(X_j) into an n×k residual
 ///      matrix with transposed (bandwidth-major) indexing.
-///   3. k single-block Harris-style sum reductions (one per bandwidth)
-///      produce the CV scores; one argmin reduction with index payload
-///      picks the winner.
+///   3. k single-block Harris-style sum reductions (one per bandwidth, all
+///      k as the blocks of one launch) produce the CV scores; one argmin
+///      reduction with index payload picks the winner.
 ///
 /// Because the device charges every allocation against its 4 GB ledger,
 /// the paper's capacity cliff reproduces: with float matrices the largest
@@ -115,6 +115,13 @@ class SpmdGridSelector final : public Selector {
   std::string name() const override;
 
   const SpmdSelectorConfig& config() const noexcept { return config_; }
+
+  /// The memory plan select() runs for `data` and `grid` on this selector's
+  /// device: resident, n-resident k-blocks, or 2-D (n-block × k-block)
+  /// tiles. Only the window algorithm streams; the per-row sort always
+  /// reports the resident plan.
+  StreamingPlan streaming_plan(const data::Dataset& data,
+                               const BandwidthGrid& grid) const;
 
   /// Predicted device-memory footprint of a (n, k) problem in bytes —
   /// what select() will ask the ledger for. Used by the memory-limit bench

@@ -246,16 +246,34 @@ StreamingPlan resolve_streaming_2d(const StreamingConfig& config,
         largest_fitting_k_block(tile_bytes, n, k, plan.budget_bytes);
     return plan;
   }
-  // The O(n) carry state itself is over budget: shrink the observation
-  // block by halving until one tile fits. Halving (not binary search) keeps
-  // the search robust to the halo's non-monotone block-boundary effects and
-  // lands within 2× of the largest feasible block.
+  // The O(n) carry state itself is over budget: tile the observations too.
+  // The candidates are the halving sequence n/2, n/4, …, 1 (halving, not
+  // binary search, keeps the search robust to the halo's non-monotone
+  // block-boundary effects); each fitting candidate takes its largest
+  // fitting k-block, and the plan with the fewest n_blocks × k_blocks tiles
+  // wins — every tile costs a slab upload, a sweep launch and a lane fold.
+  // Ties go to the larger n_block. Halving stops once the n-blocks alone
+  // reach the best plan's tile count: no smaller block can beat it.
   plan.n_streamed = true;
-  std::size_t nb = n;
-  while (nb > 1 && tile_bytes(nb, 1) > plan.budget_bytes) {
-    nb /= 2;
+  std::size_t best_tiles = 0;
+  for (std::size_t nb = n / 2; nb >= 1; nb /= 2) {
+    const std::size_t n_blocks = (n + nb - 1) / nb;
+    if (best_tiles != 0 && n_blocks >= best_tiles) {
+      break;
+    }
+    if (tile_bytes(nb, 1) > plan.budget_bytes) {
+      continue;
+    }
+    const std::size_t kb =
+        largest_fitting_k_block(tile_bytes, nb, k, plan.budget_bytes);
+    const std::size_t tiles = n_blocks * ((k + kb - 1) / kb);
+    if (best_tiles == 0 || tiles < best_tiles) {
+      best_tiles = tiles;
+      plan.n_block = nb;
+      plan.k_block = kb;
+    }
   }
-  if (tile_bytes(nb, 1) > plan.budget_bytes) {
+  if (best_tiles == 0) {
     throw StreamingBudgetError(
         "resolve_streaming_2d: budget of " +
         std::to_string(plan.budget_bytes) +
@@ -263,9 +281,6 @@ StreamingPlan resolve_streaming_2d(const StreamingConfig& config,
         std::to_string(tile_bytes(1, 1)) +
         " bytes — raise the budget or shrink the problem");
   }
-  plan.n_block = nb;
-  plan.k_block =
-      largest_fitting_k_block(tile_bytes, nb, k, plan.budget_bytes);
   return plan;
 }
 

@@ -131,9 +131,11 @@ using TileBytesFn =
 /// is how tests pin the n_block ∈ {n, n+13} degenerate cases to the same
 /// code as n_block = 1). Otherwise the budget decides: resident while
 /// `resident_bytes` fits; n-resident k-blocks while `tile_bytes(n, 1)`
-/// fits (sized exactly as resolve_streaming would); else n_block shrinks
-/// by halving until `tile_bytes(n_block, 1)` fits, and k_block grows back
-/// to the largest fitting value. A budget below `tile_bytes(1, 1)` throws
+/// fits (sized exactly as resolve_streaming would); else the halving
+/// candidates n/2, n/4, …, 1 whose `tile_bytes(n_block, 1)` fits each take
+/// their largest fitting k_block, and the candidate with the fewest
+/// n_blocks × k_blocks tiles wins (ties to the larger n_block). A budget
+/// below `tile_bytes(1, 1)` throws
 /// StreamingBudgetError naming both numbers. The auto-resolved plan's
 /// modeled bytes never exceed the budget, and its blocks tile
 /// [0, n) × [0, k) exactly once.

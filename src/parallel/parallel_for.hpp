@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <mutex>
@@ -37,6 +38,19 @@ class ExceptionCollector {
   std::mutex mutex_;
   std::exception_ptr first_;
 };
+
+/// Marks one submitted range done. The count drops under `done_mutex`, so
+/// the caller waiting for zero cannot see it until this worker has made its
+/// last touch of the mutex and the condition variable — all three live on
+/// the caller's stack and die as soon as its wait returns.
+inline void finish_one(std::atomic<std::size_t>& pending,
+                       std::mutex& done_mutex,
+                       std::condition_variable& done_cv) {
+  const std::lock_guard lock(done_mutex);
+  if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    done_cv.notify_all();
+  }
+}
 
 }  // namespace detail
 
@@ -81,10 +95,7 @@ void parallel_for(std::size_t n, Body&& body, ThreadPool* pool = nullptr,
     } catch (...) {
       errors.capture();
     }
-    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(done_mutex);
-      done_cv.notify_all();
-    }
+    detail::finish_one(pending, done_mutex, done_cv);
   };
 
   std::vector<BlockedRange> ranges;
@@ -151,10 +162,7 @@ T parallel_reduce(std::size_t n, T init, Body&& body, Combine&& combine,
       } catch (...) {
         errors.capture();
       }
-      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
+      detail::finish_one(pending, done_mutex, done_cv);
     });
   }
   {

@@ -26,6 +26,11 @@ namespace kreg::serve {
 /// Responses: "ok ..." or "error <message>".
 enum class RequestKind { kSelect, kStats, kPing, kShutdown };
 
+/// Longest request line the daemon buffers, newline excluded: far above
+/// any valid request, so a client streaming an unterminated line gets an
+/// error and is disconnected instead of growing the daemon's memory.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Grid range requested by a select line; unset means "use the library
 /// default for the dataset" (BandwidthGrid::default_for /
 /// default_neighbor_grid).

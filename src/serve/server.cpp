@@ -135,6 +135,30 @@ std::string ServeContext::handle_line(std::string_view line, bool* shutdown) {
   return format_outcome(scheduler_.submit(std::move(job)).get());
 }
 
+namespace {
+
+/// Writes `response` plus its newline in full. MSG_NOSIGNAL turns a peer
+/// that hung up before its reply into an EPIPE for this connection instead
+/// of a SIGPIPE that would kill the daemon. False when the peer is gone.
+bool send_line(int fd, std::string response) {
+  response.push_back('\n');
+  std::size_t sent = 0;
+  while (sent < response.size()) {
+    const ssize_t wrote = ::send(fd, response.data() + sent,
+                                 response.size() - sent, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) {
+      continue;
+    }
+    if (wrote <= 0) {
+      return false;
+    }
+    sent += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
+}  // namespace
+
 Server::Server(ServerConfig config)
     : config_(std::move(config)), context_(config_.scheduler) {
   validate_socket_path(config_.socket_path);
@@ -223,27 +247,27 @@ void Server::handle_connection(int fd) {
     }
     buffer.append(chunk, static_cast<std::size_t>(got));
     std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while ((newline = buffer.find('\n')) != std::string::npos &&
+           newline <= kMaxRequestLineBytes) {
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       bool shutdown = false;
-      std::string response = context_.handle_line(line, &shutdown);
-      response.push_back('\n');
-      std::size_t sent = 0;
-      while (sent < response.size()) {
-        const ssize_t wrote =
-            ::write(fd, response.data() + sent, response.size() - sent);
-        if (wrote <= 0) {
-          ::close(fd);
-          return;
-        }
-        sent += static_cast<std::size_t>(wrote);
+      if (!send_line(fd, context_.handle_line(line, &shutdown))) {
+        ::close(fd);
+        return;
       }
       if (shutdown) {
         ::close(fd);
         stop();
         return;
       }
+    }
+    if (buffer.size() > kMaxRequestLineBytes) {
+      // No valid request comes near the cap; refuse to buffer more of it.
+      (void)send_line(fd, format_error("request line exceeds " +
+                                       std::to_string(kMaxRequestLineBytes) +
+                                       " bytes"));
+      break;
     }
   }
   ::close(fd);

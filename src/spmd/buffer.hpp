@@ -1,9 +1,13 @@
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "spmd/sanitizer/access.hpp"
@@ -26,6 +30,58 @@ struct MemoryLedger {
     return capacity_bytes - allocated_bytes;
   }
 };
+
+/// Global-memory allocations of at least this many bytes get their own
+/// anonymous mapping (see allocate_storage).
+inline constexpr std::size_t kMappedStorageBytes = std::size_t{1} << 20;
+
+/// Frees DeviceBuffer storage the way allocate_storage obtained it:
+/// munmap for a mapping (`mapped_bytes` != 0), delete[] otherwise.
+template <class T>
+struct StorageDeleter {
+  std::size_t mapped_bytes = 0;
+
+  void operator()(T* p) const noexcept {
+    if (mapped_bytes != 0) {
+      ::munmap(p, mapped_bytes);
+    } else {
+      delete[] p;
+    }
+  }
+};
+
+template <class T>
+using Storage = std::unique_ptr<T[], StorageDeleter<T>>;
+
+/// Zero-initialized storage for `count` elements. A buffer of 1 MiB or more
+/// gets its own anonymous mapping — zeroed by the kernel and advised onto
+/// huge pages — so freeing it hands its pages straight back and the
+/// process's resident set follows the live device bytes. Through the heap,
+/// glibc raises its mmap threshold after the first large free and later
+/// large buffers fragment the heap instead. Smaller buffers, non-trivial
+/// element types and AddressSanitizer builds (whose red zones guard heap
+/// blocks only) use new T[]().
+template <class T>
+Storage<T> allocate_storage(std::size_t count) {
+#ifndef __SANITIZE_ADDRESS__
+  if constexpr (std::is_trivially_default_constructible_v<T> &&
+                std::is_trivially_destructible_v<T>) {
+    const std::size_t bytes = count * sizeof(T);
+    if (bytes >= kMappedStorageBytes) {
+      void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) {
+        throw std::bad_alloc();
+      }
+#ifdef MADV_HUGEPAGE
+      (void)::madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+      return Storage<T>(static_cast<T*>(p), StorageDeleter<T>{bytes});
+    }
+  }
+#endif
+  return Storage<T>(new T[count]());
+}
 
 }  // namespace detail
 
@@ -111,7 +167,7 @@ class DeviceBuffer {
 
   DeviceBuffer(std::shared_ptr<detail::MemoryLedger> ledger, std::size_t count)
       : ledger_(std::move(ledger)),
-        storage_(new T[count]()),
+        storage_(detail::allocate_storage<T>(count)),
         count_(count) {}
 
   void ensure_not_moved_from() const {
@@ -146,7 +202,7 @@ class DeviceBuffer {
   }
 
   std::shared_ptr<detail::MemoryLedger> ledger_;
-  std::unique_ptr<T[]> storage_;
+  detail::Storage<T> storage_;
   std::size_t count_ = 0;
   std::shared_ptr<detail::AllocShadow> shadow_;
   std::shared_ptr<detail::SanitizerState> state_;

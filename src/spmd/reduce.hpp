@@ -36,6 +36,28 @@ struct ArgminResult {
   std::size_t index = 0;
 };
 
+/// Where row r's element j of a batched sum's input lives:
+/// input[r * row_pitch + j * stride].
+struct RowLayout {
+  std::size_t rows = 1;
+  std::size_t length = 0;  ///< elements per row
+  std::size_t row_pitch = 0;
+  std::size_t stride = 1;
+
+  /// `rows` rows of `length` contiguous elements, back to back (the
+  /// bandwidth-major residual matrix: row b = bandwidth b).
+  static constexpr RowLayout contiguous(std::size_t rows,
+                                        std::size_t length) noexcept {
+    return {rows, length, length, 1};
+  }
+  /// `length` records of `rows` interleaved values, row r being field r of
+  /// every record (the observation-major residual matrix: stride = rows).
+  static constexpr RowLayout interleaved(std::size_t rows,
+                                         std::size_t length) noexcept {
+    return {rows, length, 1, rows};
+  }
+};
+
 namespace detail {
 
 /// Rounds the requested block size down to a power of two within the
@@ -50,50 +72,89 @@ inline std::size_t reduction_block_dim(const Device& device,
   return std::size_t{1} << (std::bit_width(dim) - 1);
 }
 
+/// Phase 2 of every single-block sum: the configured Harris tree over
+/// shared[0, block_dim), leaving the total in shared[0]. Each
+/// for_each_thread return is a barrier.
+template <class T>
+void harris_tree(BlockCtx& ctx, SharedSpan<T> shared, std::size_t block_dim,
+                 ReduceVariant variant) {
+  if (variant == ReduceVariant::kSequential) {
+    for (std::size_t stride = block_dim / 2; stride > 0; stride /= 2) {
+      ctx.for_each_thread([&](std::size_t t) {
+        if (t < stride) {
+          shared[t] += shared[t + stride];
+        }
+      });
+    }
+  } else {
+    for (std::size_t stride = 1; stride < block_dim; stride *= 2) {
+      ctx.for_each_thread([&](std::size_t t) {
+        if (t % (2 * stride) == 0 && t + stride < block_dim) {
+          shared[t] += shared[t + stride];
+        }
+      });
+    }
+  }
+}
+
+/// One cooperative launch of `rows` blocks of `block_dim` threads, block r
+/// running body(ctx, r). Rows beyond the device's grid limit go to further
+/// launches of at most max_grid_blocks blocks each.
+template <class Body>
+void launch_rows(Device& device, const char* name, std::size_t rows,
+                 std::size_t block_dim, std::size_t shared_bytes,
+                 Body&& body) {
+  const std::size_t max_blocks = device.properties().max_grid_blocks;
+  for (std::size_t r0 = 0; r0 < rows; r0 += max_blocks) {
+    const std::size_t count = std::min(max_blocks, rows - r0);
+    device.launch_cooperative(
+        name, LaunchConfig{count, block_dim}, shared_bytes,
+        [&, r0](BlockCtx& ctx) { body(ctx, r0 + ctx.block_idx()); });
+  }
+}
+
 /// Generic body shared by the span and MemView entry points: `View` only
-/// needs size()/empty() and an operator[] whose result converts to T —
-/// raw spans run unchecked, MemViews run under the sanitizer shadows.
-template <class T, class View>
-T reduce_sum_impl(Device& device, View input, std::size_t threads_per_block,
-                  ReduceVariant variant) {
-  if (input.empty()) {
-    return T{0};
+/// needs an operator[] whose result converts to T — raw spans run
+/// unchecked, MemViews run under the sanitizer shadows. `Out` takes the
+/// row totals (a host span or a device MemView).
+template <class T, class View, class Out>
+void reduce_sum_rows_impl(Device& device, const char* name, View input,
+                          RowLayout layout, Out out,
+                          std::size_t threads_per_block,
+                          ReduceVariant variant) {
+  if (layout.length == 0) {
+    for (std::size_t r = 0; r < layout.rows; ++r) {
+      out[r] = T{0};
+    }
+    return;
   }
   const std::size_t block_dim =
       reduction_block_dim(device, threads_per_block);
+  launch_rows(device, name, layout.rows, block_dim, block_dim * sizeof(T),
+              [&](BlockCtx& ctx, std::size_t r) {
+    auto shared = ctx.template shared_as<T>(block_dim);
+    const std::size_t first = r * layout.row_pitch;
+    // Phase 1: strided load-and-add. Thread t owns j ≡ t (mod T).
+    ctx.for_each_thread([&](std::size_t t) {
+      T acc{};
+      for (std::size_t j = t; j < layout.length; j += block_dim) {
+        acc += input[first + j * layout.stride];
+      }
+      shared[t] = acc;
+    });
+    harris_tree(ctx, shared, block_dim, variant);
+    out[r] = static_cast<T>(shared[0]);
+  });
+}
+
+template <class T, class View>
+T reduce_sum_impl(Device& device, View input, std::size_t threads_per_block,
+                  ReduceVariant variant) {
   T result{};
-  device.launch_cooperative(
-      "reduce_sum", LaunchConfig{1, block_dim}, block_dim * sizeof(T),
-      [&](BlockCtx& ctx) {
-        auto shared = ctx.template shared_as<T>(block_dim);
-        // Phase 1: strided load-and-add. Thread t owns j ≡ t (mod T).
-        ctx.for_each_thread([&](std::size_t t) {
-          T acc{};
-          for (std::size_t j = t; j < input.size(); j += block_dim) {
-            acc += input[j];
-          }
-          shared[t] = acc;
-        });
-        // Phase 2: tree reduction; each for_each_thread return is a barrier.
-        if (variant == ReduceVariant::kSequential) {
-          for (std::size_t stride = block_dim / 2; stride > 0; stride /= 2) {
-            ctx.for_each_thread([&](std::size_t t) {
-              if (t < stride) {
-                shared[t] += shared[t + stride];
-              }
-            });
-          }
-        } else {
-          for (std::size_t stride = 1; stride < block_dim; stride *= 2) {
-            ctx.for_each_thread([&](std::size_t t) {
-              if (t % (2 * stride) == 0 && t + stride < block_dim) {
-                shared[t] += shared[t + stride];
-              }
-            });
-          }
-        }
-        result = shared[0];
-      });
+  reduce_sum_rows_impl<T>(device, "reduce_sum", input,
+                          RowLayout::contiguous(1, input.size()),
+                          std::span<T>(&result, 1), threads_per_block,
+                          variant);
   return result;
 }
 
@@ -188,13 +249,7 @@ T reduce_sum_grid_impl(Device& device, View input,
           }
           shared[t] = acc;
         });
-        for (std::size_t stride = block_dim / 2; stride > 0; stride /= 2) {
-          ctx.for_each_thread([&](std::size_t t) {
-            if (t < stride) {
-              shared[t] += shared[t + stride];
-            }
-          });
-        }
+        harris_tree(ctx, shared, block_dim, ReduceVariant::kSequential);
         partial_view[b] = shared[0];
       });
   return reduce_sum_impl<T>(device, partial_view, threads_per_block,
@@ -224,6 +279,21 @@ T reduce_sum(Device& device, MemView<const T> input,
              ReduceVariant variant = ReduceVariant::kSequential) {
   return detail::reduce_sum_impl<T>(device, input, threads_per_block,
                                     variant);
+}
+
+/// `layout.rows` independent sums in one cooperative launch: block r runs
+/// exactly reduce_sum's schedule (phase-1 strided fold, then the configured
+/// Harris tree) over row r and writes its total to out[r], so every total
+/// is bitwise the one a separate reduce_sum over that row returns —
+/// reduce_sum is the rows = 1 case. `out` is a host span or a device
+/// MemView of at least `layout.rows` elements.
+template <class T, class Out>
+void reduce_sum_rows(Device& device, MemView<const T> input,
+                     RowLayout layout, Out out,
+                     std::size_t threads_per_block = 512,
+                     ReduceVariant variant = ReduceVariant::kSequential) {
+  detail::reduce_sum_rows_impl<T>(device, "reduce_sum_rows", input, layout,
+                                  out, threads_per_block, variant);
 }
 
 /// Single-block device argmin — the paper's bandwidth-selection reduction.

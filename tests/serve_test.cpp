@@ -11,12 +11,19 @@
 // identical to a direct run_job call — the contract that makes the cache
 // and co-scheduling safe at all.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/grid.hpp"
@@ -994,6 +1001,125 @@ TEST(ServeContextTest, KnnGridSpecRoundsToAscendingCounts) {
   kreg::serve::Request bad =
       kreg::serve::parse_request("select estimator=knn n=64 grid=0:10:5");
   EXPECT_THROW(context.job_from_request(bad), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Server (the daemon over a live UNIX socket)
+
+/// A Server on a fresh socket path with its accept loop on a background
+/// thread. Every client fd must be closed before destruction: stop() ends
+/// the accept loop, which then joins the connection handlers.
+class LiveServer {
+ public:
+  LiveServer()
+      : server_(kreg::serve::ServerConfig{
+            "/tmp/kreg_serve_test_" + std::to_string(::getpid()) + ".sock",
+            SchedulerConfig{}}),
+        thread_([this] { server_.run(); }) {}
+  ~LiveServer() {
+    server_.stop();
+    thread_.join();
+  }
+  LiveServer(const LiveServer&) = delete;
+  LiveServer& operator=(const LiveServer&) = delete;
+
+  int connect() const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, server_.socket_path().c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+
+ private:
+  kreg::serve::Server server_;
+  std::thread thread_;
+};
+
+/// Sends as much of `data` as the peer takes; stops quietly once it hangs
+/// up (MSG_NOSIGNAL: a closed peer must not kill the test either).
+void send_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t wrote =
+        ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (wrote <= 0) {
+      return;
+    }
+    data.remove_prefix(static_cast<std::size_t>(wrote));
+  }
+}
+
+/// One reply line without its newline ("" when the peer closed first).
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') {
+    line.push_back(c);
+  }
+  return line;
+}
+
+std::string request(int fd, std::string_view line) {
+  send_all(fd, std::string(line) + "\n");
+  return read_line(fd);
+}
+
+TEST(ServerTest, ClientHangingUpBeforeItsReplyLeavesTheDaemonUp) {
+  LiveServer live;
+  const int quitter = live.connect();
+  ASSERT_GE(quitter, 0);
+  send_all(quitter,
+           "select estimator=nw n=4096 seed=21 grid=0.01:1.0:48 "
+           "backend=device\n");
+  ::close(quitter);
+
+  // Once the job completes, its handler writes the reply to the closed
+  // socket; give it a moment, then the daemon must still answer.
+  const int probe = live.connect();
+  ASSERT_GE(probe, 0);
+  bool completed = false;
+  for (int i = 0; i < 1000 && !completed; ++i) {
+    completed = request(probe, "stats").find(" completed=1 ") !=
+                std::string::npos;
+    if (!completed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(completed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(request(probe, "ping"), "ok pong");
+  ::close(probe);
+
+  const int fresh = live.connect();
+  ASSERT_GE(fresh, 0);
+  EXPECT_EQ(request(fresh, "ping"), "ok pong");
+  ::close(fresh);
+}
+
+TEST(ServerTest, OverlongRequestLineIsRefusedAndDisconnected) {
+  LiveServer live;
+  const int fd = live.connect();
+  ASSERT_GE(fd, 0);
+  // 2 MiB with no newline, twice the cap: the daemon replies with an error
+  // and hangs up instead of buffering all of it.
+  send_all(fd, std::string(2 * kreg::serve::kMaxRequestLineBytes, 'x'));
+  const std::string reply = read_line(fd);
+  EXPECT_EQ(reply.rfind("error ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("exceeds"), std::string::npos) << reply;
+  char c = 0;
+  EXPECT_LE(::read(fd, &c, 1), 0);  // the connection is closed
+  ::close(fd);
+
+  const int next = live.connect();
+  ASSERT_GE(next, 0);
+  EXPECT_EQ(request(next, "ping"), "ok pong");
+  ::close(next);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -77,14 +78,24 @@ void run_introsort(std::span<double> a) { kreg::sort::introsort(a); }
 void run_heapsort(std::span<double> a) { kreg::sort::heapsort(a); }
 void run_insertion(std::span<double> a) { kreg::sort::insertion_sort(a); }
 
-class SortAlgoTest : public ::testing::TestWithParam<SortFn> {};
+// Algorithms are passed by name so the test parameter (and with it the
+// discovered ctest name) prints as the algorithm rather than as a function
+// address, which address-space randomisation changes on every run.
+struct SortAlgo {
+  const char* name;
+  SortFn run;
+};
+
+void PrintTo(const SortAlgo& algo, std::ostream* os) { *os << algo.name; }
+
+class SortAlgoTest : public ::testing::TestWithParam<SortAlgo> {};
 
 TEST_P(SortAlgoTest, SortsRandomInputs) {
   for (std::size_t n : {0u, 1u, 2u, 3u, 15u, 16u, 17u, 100u, 1000u}) {
     std::vector<double> v = random_doubles(n, 1000 + n);
     std::vector<double> expected = v;
     std::sort(expected.begin(), expected.end());
-    GetParam()(std::span<double>(v));
+    GetParam().run(std::span<double>(v));
     EXPECT_EQ(v, expected) << "n=" << n;
   }
 }
@@ -95,7 +106,7 @@ TEST_P(SortAlgoTest, SortsAdversarialShapes) {
       std::vector<double> v = make(n);
       std::vector<double> expected = v;
       std::sort(expected.begin(), expected.end());
-      GetParam()(std::span<double>(v));
+      GetParam().run(std::span<double>(v));
       EXPECT_EQ(v, expected) << "n=" << n;
     }
   }
@@ -105,14 +116,16 @@ TEST_P(SortAlgoTest, SortsFewDistinctValues) {
   std::vector<double> v = few_distinct(777, 42);
   std::vector<double> expected = v;
   std::sort(expected.begin(), expected.end());
-  GetParam()(std::span<double>(v));
+  GetParam().run(std::span<double>(v));
   EXPECT_EQ(v, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SortAlgoTest,
-                         ::testing::Values(run_iterative_quicksort,
-                                           run_introsort, run_heapsort,
-                                           run_insertion));
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, SortAlgoTest,
+    ::testing::Values(SortAlgo{"iterative_quicksort", run_iterative_quicksort},
+                      SortAlgo{"introsort", run_introsort},
+                      SortAlgo{"heapsort", run_heapsort},
+                      SortAlgo{"insertion_sort", run_insertion}));
 
 // ---- Key-value sorts ------------------------------------------------------
 
@@ -128,7 +141,14 @@ void run_insertion_kv(std::span<double> k, std::span<int> v) {
   kreg::sort::insertion_sort_kv(k, v);
 }
 
-class SortKvTest : public ::testing::TestWithParam<SortKvFn> {};
+struct SortKvAlgo {
+  const char* name;
+  SortKvFn run;
+};
+
+void PrintTo(const SortKvAlgo& algo, std::ostream* os) { *os << algo.name; }
+
+class SortKvTest : public ::testing::TestWithParam<SortKvAlgo> {};
 
 TEST_P(SortKvTest, KeysSortedAndPairsPreserved) {
   for (std::size_t n : {0u, 1u, 2u, 17u, 200u}) {
@@ -140,7 +160,7 @@ TEST_P(SortKvTest, KeysSortedAndPairsPreserved) {
     const std::vector<double> keys_before = keys;
     const std::vector<int> values_before = values;
 
-    GetParam()(std::span<double>(keys), std::span<int>(values));
+    GetParam().run(std::span<double>(keys), std::span<int>(values));
 
     EXPECT_TRUE(kreg::sort::is_sorted(std::span<const double>(keys)));
     EXPECT_TRUE(kreg::sort::is_paired_permutation(
@@ -154,16 +174,18 @@ TEST_P(SortKvTest, PayloadFollowsKeyExactly) {
   // With distinct keys, value i must end up wherever key i went.
   std::vector<double> keys = {5.0, -1.0, 3.5, 0.0, 9.75, -20.0};
   std::vector<int> values = {0, 1, 2, 3, 4, 5};
-  GetParam()(std::span<double>(keys), std::span<int>(values));
+  GetParam().run(std::span<double>(keys), std::span<int>(values));
   const std::vector<double> expected_keys = {-20.0, -1.0, 0.0, 3.5, 5.0, 9.75};
   const std::vector<int> expected_values = {5, 1, 3, 2, 0, 4};
   EXPECT_EQ(keys, expected_keys);
   EXPECT_EQ(values, expected_values);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKvAlgorithms, SortKvTest,
-                         ::testing::Values(run_quicksort_kv, run_heapsort_kv,
-                                           run_insertion_kv));
+INSTANTIATE_TEST_SUITE_P(
+    AllKvAlgorithms, SortKvTest,
+    ::testing::Values(SortKvAlgo{"iterative_quicksort_kv", run_quicksort_kv},
+                      SortKvAlgo{"heapsort_kv", run_heapsort_kv},
+                      SortKvAlgo{"insertion_sort_kv", run_insertion_kv}));
 
 // ---- The paper's use case: distances with Y payload -----------------------
 

@@ -1,13 +1,18 @@
 // Tests for the Harris-style device reductions: agreement with serial
-// reference across sizes/block dims/variants, argmin tie-breaking, and the
-// two-level grid reduction.
+// reference across sizes/block dims/variants, argmin tie-breaking, the
+// two-level grid reduction, the one-launch row reductions and the carried
+// lane fold of the n-streamed sweeps.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/detail/lane_reduce.hpp"
 #include "rng/stream.hpp"
 #include "spmd/device.hpp"
 #include "spmd/reduce.hpp"
@@ -20,6 +25,7 @@ using kreg::spmd::Device;
 using kreg::spmd::DeviceBuffer;
 using kreg::spmd::DeviceProperties;
 using kreg::spmd::ReduceVariant;
+using kreg::spmd::RowLayout;
 
 template <class T>
 DeviceBuffer<T> upload(Device& dev, const std::vector<T>& host) {
@@ -188,6 +194,223 @@ TEST(ReduceGrid, AgreesWithSingleBlock) {
   const double single = kreg::spmd::reduce_sum<double>(dev, buf.span(), 512);
   const double grid = kreg::spmd::reduce_sum_grid<double>(dev, buf.span(), 512);
   EXPECT_NEAR(single, grid, 1e-9);
+}
+
+// ---- reduce_sum_rows: R sums in one launch ---------------------------------
+
+/// Equal bit patterns: tells -0.0 from 0.0 and NaN payloads apart.
+template <class T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Values over sixteen decades with both signs, so any change in the order
+/// of the additions changes the rounded sums.
+template <class T>
+std::vector<T> wide_values(std::size_t n, std::uint64_t seed) {
+  Stream s(seed);
+  std::vector<T> out(n);
+  for (T& v : out) {
+    const double magnitude = std::pow(10.0, s.uniform(-8.0, 8.0));
+    v = static_cast<T>(s.uniform() < 0.5 ? -magnitude : magnitude);
+  }
+  return out;
+}
+
+/// reduce_sum over row r of `host` laid out as `layout`, through its own
+/// contiguous upload.
+template <class T>
+T separate_row_sum(Device& dev, const std::vector<T>& host, RowLayout layout,
+                   std::size_t r, std::size_t tpb, ReduceVariant variant) {
+  std::vector<T> row(layout.length);
+  for (std::size_t j = 0; j < layout.length; ++j) {
+    row[j] = host[r * layout.row_pitch + j * layout.stride];
+  }
+  auto buf = upload(dev, row);
+  return kreg::spmd::reduce_sum<T>(dev, buf.view(), tpb, variant);
+}
+
+template <class T>
+void expect_rows_match_separate_sums(Device& dev, std::size_t length,
+                                     std::size_t rows, bool interleaved,
+                                     ReduceVariant variant) {
+  const std::size_t tpb = dev.properties().max_threads_per_block;
+  const RowLayout layout = interleaved ? RowLayout::interleaved(rows, length)
+                                       : RowLayout::contiguous(rows, length);
+  const std::vector<T> host = wide_values<T>(rows * length, 31 * rows + length);
+  auto buf = upload(dev, host);
+  std::vector<T> got(rows);
+  const std::size_t before = dev.stats().cooperative_launches;
+  kreg::spmd::reduce_sum_rows<T>(dev, buf.view(), layout, std::span<T>(got),
+                                 tpb, variant);
+  const std::size_t grid_limit = dev.properties().max_grid_blocks;
+  EXPECT_EQ(dev.stats().cooperative_launches - before,
+            (rows + grid_limit - 1) / grid_limit);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const T want = separate_row_sum(dev, host, layout, r, tpb, variant);
+    ASSERT_TRUE(same_bits(got[r], want))
+        << "row " << r << ": " << got[r] << " vs " << want;
+  }
+}
+
+TEST(ReduceSumRows, EqualsSeparateReduceSumsBitwise) {
+  // The tiny device's 64-thread blocks make D = 64 and its 1,024-block grid
+  // limit splits R = 2,000 rows over two launches.
+  Device dev(DeviceProperties::tiny(std::size_t{64} << 20));
+  const std::size_t d = 64;
+  for (const ReduceVariant variant :
+       {ReduceVariant::kSequential, ReduceVariant::kInterleaved}) {
+    for (const std::size_t length : {std::size_t{1}, d - 1, d, 3 * d + 5}) {
+      for (const std::size_t rows :
+           {std::size_t{1}, std::size_t{7}, std::size_t{2000}}) {
+        for (const bool interleaved : {false, true}) {
+          SCOPED_TRACE("variant=" + std::string(to_string(variant)) +
+                       " length=" + std::to_string(length) + " rows=" +
+                       std::to_string(rows) +
+                       (interleaved ? " interleaved" : " contiguous"));
+          expect_rows_match_separate_sums<double>(dev, length, rows,
+                                                  interleaved, variant);
+          expect_rows_match_separate_sums<float>(dev, length, rows,
+                                                 interleaved, variant);
+        }
+      }
+    }
+  }
+}
+
+TEST(ReduceSumRows, PaperBlockSizeOnTheDefaultDevice) {
+  Device dev;  // 512-thread blocks
+  const std::size_t d = 512;
+  for (const ReduceVariant variant :
+       {ReduceVariant::kSequential, ReduceVariant::kInterleaved}) {
+    for (const bool interleaved : {false, true}) {
+      expect_rows_match_separate_sums<double>(dev, 3 * d + 5, 7, interleaved,
+                                              variant);
+      expect_rows_match_separate_sums<float>(dev, d - 1, 7, interleaved,
+                                             variant);
+    }
+  }
+}
+
+TEST(ReduceSumRows, WritesDeviceOutputsAndEmptyRowsAreZero) {
+  Device dev;
+  const std::vector<double> host = wide_values<double>(5 * 300, 17);
+  auto buf = upload(dev, host);
+  auto out = dev.alloc_global<double>(5, "row-sums");
+  kreg::spmd::reduce_sum_rows<double>(dev, buf.view(),
+                                      RowLayout::contiguous(5, 300),
+                                      out.view());
+  for (std::size_t r = 0; r < 5; ++r) {
+    const double want = kreg::spmd::reduce_sum<double>(
+        dev, buf.view().subview(r * 300, 300));
+    EXPECT_TRUE(same_bits(out.span()[r], want)) << "row " << r;
+  }
+  std::vector<double> zeros(3, 1.0);
+  const std::size_t before = dev.stats().cooperative_launches;
+  kreg::spmd::reduce_sum_rows<double>(dev, buf.view(),
+                                      RowLayout::contiguous(3, 0),
+                                      std::span<double>(zeros));
+  EXPECT_EQ(dev.stats().cooperative_launches, before);  // nothing to launch
+  EXPECT_EQ(zeros, std::vector<double>(3, 0.0));
+}
+
+// ---- lane fold of the n-streamed sweeps ------------------------------------
+
+/// The per-lane strided fold the lane helper replaced: thread `lane` walks
+/// the block's rows r ≡ lane − n0 (mod D) for each bandwidth in turn.
+template <class T>
+void strided_lane_fold(std::vector<T>& lanes, std::size_t b0,
+                       const std::vector<T>& residuals, RowLayout block,
+                       std::size_t n0, std::size_t d) {
+  for (std::size_t lane = 0; lane < d; ++lane) {
+    const std::size_t start = (lane + d - n0 % d) % d;
+    for (std::size_t b = 0; b < block.rows; ++b) {
+      for (std::size_t r = start; r < block.length; r += d) {
+        lanes[(b0 + b) * d + lane] +=
+            residuals[b * block.row_pitch + r * block.stride];
+      }
+    }
+  }
+}
+
+template <class T>
+void expect_lane_fold_matches_strided(std::size_t n0, std::size_t nb,
+                                      std::size_t kb, std::size_t b0,
+                                      bool interleaved) {
+  Device dev(DeviceProperties::tiny(std::size_t{16} << 20));
+  const std::size_t d = 64;
+  const std::size_t k = b0 + kb + 1;
+  const RowLayout block = interleaved ? RowLayout::interleaved(kb, nb)
+                                      : RowLayout::contiguous(kb, nb);
+  // Carried lanes already hold earlier blocks' partial sums.
+  std::vector<T> want = wide_values<T>(k * d, 7 * n0 + nb);
+  const std::vector<T> residuals = wide_values<T>(kb * nb, 11 * nb + kb);
+  auto lanes = upload(dev, want);
+  auto resid = upload(dev, residuals);
+  kreg::detail::lane_fold<T>(dev, "lane_fold_test", lanes.view(), b0,
+                             resid.view(), block, n0, d);
+  strided_lane_fold(want, b0, residuals, block, n0, d);
+  for (std::size_t i = 0; i < k * d; ++i) {
+    ASSERT_TRUE(same_bits(lanes.span()[i], want[i])) << "lane slot " << i;
+  }
+}
+
+TEST(LaneFold, MatchesPerLaneStridedFoldAtUnalignedBlockStarts) {
+  const std::size_t d = 64;
+  for (const std::size_t n0 : {std::size_t{1}, d - 1, d + 3, 5 * d + 7}) {
+    for (const std::size_t nb : {std::size_t{1}, d - 1, d, 3 * d + 5}) {
+      for (const std::size_t kb : {std::size_t{1}, std::size_t{3}}) {
+        for (const bool interleaved : {false, true}) {
+          SCOPED_TRACE("n0=" + std::to_string(n0) + " nb=" +
+                       std::to_string(nb) + " kb=" + std::to_string(kb) +
+                       (interleaved ? " interleaved" : " contiguous"));
+          expect_lane_fold_matches_strided<double>(n0, nb, kb, 2,
+                                                   interleaved);
+          expect_lane_fold_matches_strided<float>(n0, nb, kb, 0, interleaved);
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneFold, FoldedBlocksThenTreeEqualTheResidentRowSums) {
+  // Uneven n-blocks folded one after another, then the phase-2 replay, give
+  // exactly the totals of the resident one-launch row reduction.
+  Device dev(DeviceProperties::tiny(std::size_t{16} << 20));
+  const std::size_t d = 64;
+  const std::size_t n = 1000;
+  const std::size_t k = 5;
+  const std::vector<double> host = wide_values<double>(k * n, 23);
+  auto full = upload(dev, host);
+  for (const ReduceVariant variant :
+       {ReduceVariant::kSequential, ReduceVariant::kInterleaved}) {
+    std::vector<double> resident(k);
+    kreg::spmd::reduce_sum_rows<double>(dev, full.view(),
+                                        RowLayout::contiguous(k, n),
+                                        std::span<double>(resident), d,
+                                        variant);
+    auto lanes = upload(dev, std::vector<double>(k * d, 0.0));
+    for (std::size_t n0 = 0; n0 < n; n0 += 77) {
+      const std::size_t nb = std::min<std::size_t>(77, n - n0);
+      std::vector<double> tile(k * nb);
+      for (std::size_t b = 0; b < k; ++b) {
+        for (std::size_t r = 0; r < nb; ++r) {
+          tile[b * nb + r] = host[b * n + n0 + r];
+        }
+      }
+      auto tile_buf = upload(dev, tile);
+      kreg::detail::lane_fold<double>(dev, "lane_fold_test", lanes.view(), 0,
+                                      tile_buf.view(),
+                                      RowLayout::contiguous(k, nb), n0, d);
+    }
+    std::vector<double> streamed(k);
+    kreg::detail::lane_tree_reduce<double>(dev, lanes.view(), d, variant,
+                                           std::span<double>(streamed));
+    for (std::size_t b = 0; b < k; ++b) {
+      EXPECT_TRUE(same_bits(streamed[b], resident[b]))
+          << "bandwidth " << b << " (" << to_string(variant) << ")";
+    }
+  }
 }
 
 }  // namespace

@@ -5,9 +5,14 @@
 // cache-blocked host kernel, and the memory-cliff lifts under small budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/detail/device_sweep.hpp"
 #include "core/grid.hpp"
@@ -327,6 +332,100 @@ TEST(ResolveStreaming2d, EmptyInputsThrow) {
                std::invalid_argument);
 }
 
+TEST(ResolveStreaming2d, StreamOneMillionTakesTheFewestTilePlan) {
+  // The benchmark's stream-1m shape through the selector's own tile-byte
+  // model: n = 10^6 paper-DGP points, a k = 32 grid over [1e-5, 1e-4],
+  // double, 24 MiB. Stopping at the first fitting halving candidate gives
+  // (250,000, 2) = 64 tiles; (62,500, 32) fits the same budget in 16.
+  DeviceProperties props = DeviceProperties::tesla_s10();
+  props.global_memory_bytes = std::size_t{24} << 20;
+  Device dev(props);
+  SpmdSelectorConfig cfg;
+  cfg.precision = Precision::kDouble;
+  cfg.stream.memory_budget_bytes = props.global_memory_bytes;
+  const Dataset d = paper_data(1'000'000, 1);
+  const BandwidthGrid grid(1e-5, 1e-4, 32);
+  const StreamingPlan plan = SpmdGridSelector(dev, cfg).streaming_plan(d, grid);
+  EXPECT_TRUE(plan.n_streamed);
+  EXPECT_EQ(plan.n_block, 62'500u);
+  EXPECT_EQ(plan.k_block, 32u);
+  EXPECT_EQ(plan.n_blocks(d.size()) * plan.blocks(grid.size()), 16u);
+}
+
+TEST(ResolveStreaming2d, AutoPlanFitsCoversOnceAndHasFewestHalvingTiles) {
+  // Property sweep over budgets with a halo-slab tile model shaped like the
+  // selector's: every n-streamed auto plan fits, tiles [0, n) × [0, k)
+  // exactly once, and no halving candidate n/2, n/4, …, 1 — each with its
+  // largest fitting k-block — needs fewer tiles.
+  const std::size_t n = 2'000;
+  const std::size_t k = 24;
+  Stream s(55);
+  std::vector<double> xs(n);
+  for (double& x : xs) {
+    x = s.uniform() < 0.8 ? s.uniform() : s.uniform(0.4, 0.45);  // a cluster
+  }
+  std::sort(xs.begin(), xs.end());
+  const double reach = 0.02;
+  std::map<std::size_t, std::size_t> slabs;
+  const auto tile_bytes = [&](std::size_t nb, std::size_t kb) -> std::size_t {
+    if (nb >= n) {
+      return 2 * n * 8 + n * 64 + n * kb * 8;  // n-resident: no slab, lanes
+    }
+    auto [it, fresh] = slabs.try_emplace(nb, 0);
+    if (fresh) {
+      it->second = kreg::detail::max_halo_span(std::span<const double>(xs), 0,
+                                               n, nb, reach);
+    }
+    return 2 * it->second * 8 + nb * 64 + nb * kb * 8 + k * 64 * 8;
+  };
+  const auto fewest_k_blocks = [&](std::size_t nb, std::size_t budget) {
+    std::size_t kb = k;
+    while (kb > 1 && tile_bytes(nb, kb) > budget) {
+      --kb;
+    }
+    return (k + kb - 1) / kb;
+  };
+  std::size_t checked = 0;
+  for (std::size_t budget = tile_bytes(1, 1); budget < tile_bytes(n, 1);
+       budget += budget / 16 + 1) {
+    StreamingConfig cfg;
+    cfg.memory_budget_bytes = budget;
+    const StreamingPlan plan = kreg::resolve_streaming_2d(
+        cfg, n, k, std::numeric_limits<std::size_t>::max(), tile_bytes,
+        std::size_t{1} << 40);
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    ASSERT_TRUE(plan.n_streamed);
+    ASSERT_GE(plan.n_block, 1u);
+    ASSERT_GE(plan.k_block, 1u);
+    EXPECT_LE(tile_bytes(plan.n_block, plan.k_block), budget);
+    std::vector<int> n_cover(n, 0);
+    for (std::size_t n0 = 0; n0 < n; n0 += plan.n_block) {
+      for (std::size_t i = n0; i < std::min(n, n0 + plan.n_block); ++i) {
+        ++n_cover[i];
+      }
+    }
+    std::vector<int> k_cover(k, 0);
+    for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
+      for (std::size_t b = b0; b < std::min(k, b0 + plan.k_block); ++b) {
+        ++k_cover[b];
+      }
+    }
+    EXPECT_EQ(std::count(n_cover.begin(), n_cover.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(std::count(k_cover.begin(), k_cover.end(), 1),
+              static_cast<std::ptrdiff_t>(k));
+    const std::size_t tiles = plan.n_blocks(n) * plan.blocks(k);
+    for (std::size_t nb = n / 2; nb >= 1; nb /= 2) {
+      if (tile_bytes(nb, 1) <= budget) {
+        EXPECT_LE(tiles, ((n + nb - 1) / nb) * fewest_k_blocks(nb, budget))
+            << "n_block " << nb << " beats the plan's " << plan.n_block;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 20u);
+}
+
 // --- halo-slab construction ------------------------------------------------
 
 TEST(HaloSlab, SlabContainsEveryAdmissibleIndex) {
@@ -472,9 +571,9 @@ TEST(StreamedSelector, LaunchesOneKernelPerBlockAndNoDeviceArgmin) {
   SpmdSelectorConfig cfg = resident_cfg();
   cfg.stream.k_block = 3;
   (void)SpmdGridSelector(dev, cfg).select(d, grid);
-  EXPECT_EQ(dev.stats().kernel_launches, 4u);       // ceil(10 / 3) blocks
-  EXPECT_EQ(dev.stats().cooperative_launches, 10u);  // k reductions, argmin
-                                                     // runs on the host
+  EXPECT_EQ(dev.stats().kernel_launches, 4u);  // ceil(10 / 3) blocks
+  // One row reduction per block; the argmin runs on the host.
+  EXPECT_EQ(dev.stats().cooperative_launches, 4u);
 }
 
 TEST(StreamedSelector, TiedXAndTinyDatasetsWithKBlockOne) {
