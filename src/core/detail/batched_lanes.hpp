@@ -71,6 +71,46 @@ struct LaneBatch {
   alignas(64) std::array<Scalar, C> yi{};  ///< Y at pos, gathered once
   alignas(64) Scalar s_m[kTerms][C] = {};  ///< Σ |d|^m per lane
   alignas(64) Scalar t_m[kTerms][C] = {};  ///< Σ Y·|d|^m per lane
+
+  /// Phase 3, shared by the generic lanes and the AVX-512 kernel: the
+  /// squared LOO residual of every lane at bandwidth h from the current
+  /// moment sums. h, 1/h and its running powers are shared by the whole
+  /// batch — one division per batch per bandwidth instead of one per
+  /// observation. Padding lanes (den = 0) get 0.
+  void recombine(Scalar h, const SweepPolynomial& poly,
+                 std::array<Scalar, C>& sq) const {
+    alignas(64) std::array<Scalar, C> num{};
+    alignas(64) std::array<Scalar, C> den{};
+    const Scalar inv_h = Scalar{1} / h;
+    Scalar inv_pow = Scalar{1};
+    for (std::size_t m = 0; m <= poly.max_power; ++m) {
+      const auto c = static_cast<Scalar>(poly.coeff[m]);
+      if (c != Scalar{0}) {
+        if (m == 0) {
+          // Self term excluded analytically, as in the scalar sweep.
+          for (std::size_t l = 0; l < C; ++l) {
+            num[l] += c * (t_m[0][l] - yi[l]) * inv_pow;
+          }
+          for (std::size_t l = 0; l < C; ++l) {
+            den[l] += c * (s_m[0][l] - Scalar{1}) * inv_pow;
+          }
+        } else {
+          for (std::size_t l = 0; l < C; ++l) {
+            num[l] += c * t_m[m][l] * inv_pow;
+          }
+          for (std::size_t l = 0; l < C; ++l) {
+            den[l] += c * s_m[m][l] * inv_pow;
+          }
+        }
+      }
+      inv_pow *= inv_h;
+    }
+    for (std::size_t l = 0; l < C; ++l) {
+      const Scalar guarded = den[l] > Scalar{0} ? den[l] : Scalar{1};
+      const Scalar e = yi[l] - num[l] / guarded;
+      sq[l] = den[l] > Scalar{0} ? e * e : Scalar{0};
+    }
+  }
 };
 
 /// Seeds every active lane the way `window_sweep_seed` seeds one thread:
@@ -151,35 +191,16 @@ inline void batch_store(const LaneBatch<Scalar, C>& st, LoView lo_all,
   }
 }
 
-/// Sweeps `hs` — the full grid or one ascending k-block slice — for all
-/// lanes of the batch, resuming from the carried state. `write(b, l, sq)`
-/// receives the squared LOO residual of active lane l for every slice
-/// index b in ascending order. Per lane this performs bit-for-bit the
-/// operations of `window_sweep_resume` on that lane's observation.
-///
-/// `prefetch` (> 0) issues software prefetches for the admission lines
-/// `prefetch` steps ahead of the current one; `stats`, when non-null,
-/// counts the phase-2 steps served by the contiguous-run transpose fast
-/// path versus per-lane gathers (see batched_lanes_contig.hpp). Both are
-/// observational: values and profiles are bitwise identical for every
-/// setting.
+/// The generic (auto-vectorized) lanes behind `batch_resume`; the only
+/// path on CPUs without AVX-512 and for C ∈ {1, 4}. Same contract as
+/// batch_resume.
 template <class Scalar, std::size_t C, class HView, class WriteResid>
-inline void batch_resume(LaneBatch<Scalar, C>& st,
-                         std::span<const Scalar> xs_sorted,
-                         std::span<const Scalar> ys_sorted, HView hs,
-                         const SweepPolynomial& poly, WriteResid&& write,
-                         std::size_t prefetch = 0,
-                         BatchRunStats* stats = nullptr) {
-#if KREG_HAVE_BATCHED_AVX512
-  // Hand-vectorized fast path for the zmm-width double batches; produces
-  // bit-identical profiles (see batched_lanes_avx512.hpp for the argument).
-  if constexpr (std::is_same_v<Scalar, double> && (C == 8 || C == 16)) {
-    if (batch_resume_avx512(st, xs_sorted, ys_sorted, hs, poly, write,
-                            prefetch, stats)) {
-      return;
-    }
-  }
-#endif
+inline void batch_resume_generic(LaneBatch<Scalar, C>& st,
+                                 std::span<const Scalar> xs_sorted,
+                                 std::span<const Scalar> ys_sorted, HView hs,
+                                 const SweepPolynomial& poly,
+                                 WriteResid&& write, std::size_t prefetch,
+                                 BatchRunStats* stats) {
   const std::size_t n = xs_sorted.size();
   const std::size_t k = hs.size();
   const std::size_t terms = poly.max_power + 1;
@@ -194,8 +215,6 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
   alignas(64) std::array<Scalar, C> dv{};
   alignas(64) std::array<Scalar, C> yv{};
   alignas(64) std::array<Scalar, C> pw{};
-  alignas(64) std::array<Scalar, C> num{};
-  alignas(64) std::array<Scalar, C> den{};
   alignas(64) std::array<Scalar, C> sq{};
 
   for (std::size_t b = 0; b < k; ++b) {
@@ -258,20 +277,7 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
       }
       for (std::size_t s = 0; s < max_cnt; ++s) {
         if (prefetch != 0 && run.any) {
-          // The run's extreme bases slide linearly with s, so the span's
-          // frontier `prefetch` steps ahead is its two endpoint lines.
-          const auto d = static_cast<std::int64_t>(s + prefetch);
-          const std::int64_t pmin = left ? run.min_base - d : run.min_base + d;
-          const std::int64_t pmax = left ? run.max_base - d : run.max_base + d;
-          if (pmin >= 0 && pmin < static_cast<std::int64_t>(n)) {
-            __builtin_prefetch(xs + pmin);
-            __builtin_prefetch(ys + pmin);
-          }
-          if (pmax != pmin && pmax >= 0 &&
-              pmax < static_cast<std::int64_t>(n)) {
-            __builtin_prefetch(xs + pmax);
-            __builtin_prefetch(ys + pmax);
-          }
+          prefetch_run_frontier(xs, ys, n, run, left, s + prefetch);
         }
         if (s < run.steps) {
           contig_load_transpose<Scalar, C>(
@@ -316,45 +322,48 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
       st.hi[l] = hi_new[l];
     }
 
-    // Phase 3: recombination across lanes. h, 1/h and its running powers
-    // are shared by the whole batch — one division per batch per
-    // bandwidth instead of one per observation.
-    num.fill(Scalar{});
-    den.fill(Scalar{});
-    const Scalar inv_h = Scalar{1} / h;
-    Scalar inv_pow = Scalar{1};
-    for (std::size_t m = 0; m < terms; ++m) {
-      const auto c = static_cast<Scalar>(poly.coeff[m]);
-      if (c != Scalar{0}) {
-        if (m == 0) {
-          // Self term excluded analytically, as in the scalar sweep.
-          for (std::size_t l = 0; l < C; ++l) {
-            num[l] += c * (st.t_m[0][l] - st.yi[l]) * inv_pow;
-          }
-          for (std::size_t l = 0; l < C; ++l) {
-            den[l] += c * (st.s_m[0][l] - Scalar{1}) * inv_pow;
-          }
-        } else {
-          for (std::size_t l = 0; l < C; ++l) {
-            num[l] += c * st.t_m[m][l] * inv_pow;
-          }
-          for (std::size_t l = 0; l < C; ++l) {
-            den[l] += c * st.s_m[m][l] * inv_pow;
-          }
-        }
-      }
-      inv_pow *= inv_h;
-    }
-    for (std::size_t l = 0; l < C; ++l) {
-      const Scalar guarded = den[l] > Scalar{0} ? den[l] : Scalar{1};
-      const Scalar e = st.yi[l] - num[l] / guarded;
-      sq[l] = den[l] > Scalar{0} ? e * e : Scalar{0};
-    }
-
+    // Phase 3: recombination across lanes.
+    st.recombine(h, poly, sq);
     for (std::size_t l = 0; l < st.lanes; ++l) {
       write(b, l, sq[l]);
     }
   }
+}
+
+/// Sweeps `hs` — the full grid or one ascending k-block slice — for all
+/// lanes of the batch, resuming from the carried state. `write(b, l, sq)`
+/// receives the squared LOO residual of active lane l for every slice
+/// index b in ascending order. Per lane this performs bit-for-bit the
+/// operations of `window_sweep_resume` on that lane's observation.
+///
+/// C ∈ {8, 16} runs the AVX-512 kernel (batched_lanes_avx512.hpp) when
+/// the CPU supports it, every other case the generic lanes; the two are
+/// bitwise identical, so the choice is invisible in the residuals.
+///
+/// `prefetch` (> 0) issues software prefetches for the admission lines
+/// `prefetch` steps ahead of the current one; `stats`, when non-null,
+/// counts the phase-2 steps served by the contiguous-run transpose fast
+/// path versus per-lane gathers (see batched_lanes_contig.hpp). Both are
+/// observational: values and profiles are bitwise identical for every
+/// setting.
+template <class Scalar, std::size_t C, class HView, class WriteResid>
+inline void batch_resume(LaneBatch<Scalar, C>& st,
+                         std::span<const Scalar> xs_sorted,
+                         std::span<const Scalar> ys_sorted, HView hs,
+                         const SweepPolynomial& poly, WriteResid&& write,
+                         std::size_t prefetch = 0,
+                         BatchRunStats* stats = nullptr) {
+#if KREG_HAVE_BATCHED_AVX512
+  if constexpr (C == 8 || C == 16) {
+    if (avx512_lanes_available() &&
+        batch_resume_avx512(st, xs_sorted, ys_sorted, hs, poly, write,
+                            prefetch, stats)) {
+      return;
+    }
+  }
+#endif
+  batch_resume_generic(st, xs_sorted, ys_sorted, hs, poly, write, prefetch,
+                       stats);
 }
 
 /// Dispatches a runtime lane width onto the compile-time LaneBatch

@@ -1,47 +1,50 @@
 #pragma once
 
-// AVX-512 specialization of the batched window sweep's phase-2 hot loop
-// (see batched_lanes.hpp). Only compiled when the target has AVX-512F and
-// FMA (KREG_NATIVE builds on such machines); the generic auto-vectorized
-// path remains the portable default and the two produce bit-identical
-// profiles because each lane executes the scalar sweep's exact
-// floating-point operation sequence:
+// AVX-512 kernel for the batched window sweep (see batched_lanes.hpp),
+// compiled into every x86-64 GCC/Clang build and chosen at run time:
+// `batch_resume` calls it for C ∈ {8, 16} when the CPU has AVX-512F/DQ/VL
+// (avx512_lanes_available), and runs the generic lanes otherwise. Only the
+// functions marked KREG_AVX512_TARGET contain AVX-512 code, so the rest of
+// the build stays baseline x86-64. One kernel body serves both precisions
+// through the per-precision `Avx512Lanes` traits: an 8-lane group is one
+// __m512d for double and one __m256 (AVX-512VL masks) for float. The two
+// paths produce bit-identical profiles because each lane executes the
+// scalar sweep's exact floating-point operation sequence:
 //
-//   - phase-1 pointer walks test 8 admission candidates per vector
-//     compare and stop at the same first-failing element as the scalar
-//     walk (phase 1 carries no FP state, so identical stopping points
-//     mean identical extents);
+//   - phase-1 pointer walks test one full vector of admission candidates
+//     (8 doubles, 16 floats) per compare and stop at the same
+//     first-failing element as the scalar walk (phase 1 carries no FP
+//     state, so identical stopping points mean identical extents);
 //   - admissions stay in the scalar order (left side descending, then
 //     right side ascending), realized here as two separate step loops so
 //     the gather index is a linear function of the step — no per-lane
 //     select, no branch;
-//   - masked hardware gathers (vgatherqpd) feed exact zeros into lanes
-//     that ran out of admissions, the same ±0.0-padding discipline the
-//     generic path uses;
+//   - masked hardware gathers (vgatherqpd / vgatherqps) feed exact zeros
+//     into lanes that ran out of admissions, the same ±0.0-padding
+//     discipline the generic path uses;
 //   - contiguous runs — all of a group's step-0 bases inside one
-//     16-double window, the common case under the σ position-sort — swap
-//     the gather for two full-width loads + a masked two-register permute
-//     (vpermt2pd) selecting the very same elements with the very same
-//     masked zeros, so consumed values are unchanged bit for bit; runs
-//     are clipped where the block read would leave [0, n) and the gather
-//     resumes seamlessly (see batched_lanes_contig.hpp);
+//     16-element window, the common case under the σ position-sort — swap
+//     the gather for two block loads + a masked two-register permute
+//     (vpermt2pd / vpermt2ps) selecting the very same elements with the
+//     very same masked zeros, so consumed values are unchanged bit for
+//     bit; runs are clipped where the block read would leave [0, n) and
+//     the gather resumes seamlessly (see batched_lanes_contig.hpp);
 //   - |xi − xl| is computed as a sign-bit mask of (xi − xl), which is
 //     IEEE-identical to the scalar sweep's compare-and-subtract;
 //   - t_m ← t_m + y·pw stays an explicit multiply-then-add, matching the
-//     scalar TU exactly because this path is only enabled together with
-//     -ffp-contract=off (the KREG_NATIVE configuration, which defines
-//     KREG_FP_CONTRACT_OFF); under the default -ffp-contract=fast, GCC
-//     contracts or not per call site, so no intrinsic choice could match
-//     every inlined copy of the scalar sweep at once;
-//   - moment sums live in zmm registers across the whole grid slice, one
-//     register per (term, 8-lane group), instead of round-tripping
-//     through memory every step.
+//     scalar sweep exactly because the whole build compiles with
+//     -ffp-contract=off (root CMakeLists.txt); under -ffp-contract=fast,
+//     GCC contracts or not per call site, so no intrinsic choice could
+//     match every inlined copy of the scalar sweep at once;
+//   - a group's moment sums live in registers for a whole admission run,
+//     one register per term, instead of round-tripping through memory
+//     every step;
+//   - phase 3 is the generic path's own `LaneBatch::recombine`.
 //
-// Lane widths map onto V = C/8 zmm register groups: C = 8 is one group,
-// C = 16 two (two independent gather/multiply dependency chains, which is
-// what hides the gather latency on one core).
+// Lane widths map onto V = C/8 register groups, each running its own step
+// loops: C = 8 is one group, C = 16 two.
 
-#if defined(__AVX512F__) && defined(KREG_FP_CONTRACT_OFF)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define KREG_HAVE_BATCHED_AVX512 1
 #else
 #define KREG_HAVE_BATCHED_AVX512 0
@@ -55,37 +58,187 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "core/batch_stats.hpp"
 #include "core/kernels.hpp"
 #include "core/detail/batched_lanes_contig.hpp"
 
+#define KREG_AVX512_TARGET \
+  __attribute__((target("avx512f,avx512dq,avx512vl")))
+
 namespace kreg::detail {
 
 template <class Scalar, std::size_t C>
 struct LaneBatch;
 
-/// Blocked phase-1 pointer walks: test 8 admission candidates per compare
-/// instead of one. The scalar walk stops at the *first* failing element;
-/// counting the leading (left walk, descending) or trailing (right walk,
-/// ascending) accepted lanes of the 8-wide predicate mask stops at exactly
-/// the same element — each lane evaluates the scalar predicate's own
-/// subtract-and-compare, and phase 1 carries no floating-point state, so
-/// the extents are identical integers. The scalar loop serves the < 8
-/// remaining candidates at the array edges.
-inline std::size_t walk_lo_avx512(double x, const double* xs, std::size_t lo,
-                                  double h) {
-  const __m512d vx = _mm512_set1_pd(x);
-  const __m512d vh = _mm512_set1_pd(h);
-  while (lo >= 8) {
-    const __m512d vs = _mm512_loadu_pd(xs + lo - 8);
-    const __mmask8 m =
-        _mm512_cmp_pd_mask(_mm512_sub_pd(vx, vs), vh, _CMP_LE_OQ);
-    const auto acc = static_cast<std::size_t>(
-        std::countl_one(static_cast<unsigned char>(m)));
+/// The first CPU feature the AVX-512 lane kernel needs that this machine
+/// lacks (the CPU, or an OS that does not save the zmm state), or nullptr
+/// when it has them all.
+inline const char* avx512_lanes_missing_feature() {
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx512f")) {
+    return "avx512f";
+  }
+  if (!__builtin_cpu_supports("avx512dq")) {
+    return "avx512dq";
+  }
+  if (!__builtin_cpu_supports("avx512vl")) {
+    return "avx512vl";
+  }
+  return nullptr;
+}
+
+/// Whether batch_resume may take the AVX-512 kernel: the feature check
+/// runs once per process and its answer is cached.
+inline bool avx512_lanes_available() {
+  static const bool available = avx512_lanes_missing_feature() == nullptr;
+  return available;
+}
+
+/// Per-precision vector operations on one 8-lane group. `Perm` is the
+/// index type of the two-register permute over a 16-element block.
+template <class Scalar>
+struct Avx512Lanes;
+
+template <>
+struct Avx512Lanes<double> {
+  using Vec = __m512d;
+  using Perm = __m512i;
+  static constexpr std::size_t kWalk = 8;  ///< candidates per walk compare
+
+  KREG_AVX512_TARGET static Vec load(const double* p) {
+    return _mm512_loadu_pd(p);
+  }
+  KREG_AVX512_TARGET static void store(double* p, Vec v) {
+    _mm512_storeu_pd(p, v);
+  }
+  KREG_AVX512_TARGET static Vec add(Vec a, Vec b) {
+    return _mm512_add_pd(a, b);
+  }
+  KREG_AVX512_TARGET static Vec mul(Vec a, Vec b) {
+    return _mm512_mul_pd(a, b);
+  }
+  KREG_AVX512_TARGET static Vec abs_diff(Vec a, Vec b) {
+    return _mm512_abs_pd(_mm512_sub_pd(a, b));
+  }
+  /// 1 in the active lanes, +0.0 elsewhere.
+  KREG_AVX512_TARGET static Vec ones(__mmask8 act) {
+    return _mm512_maskz_mov_pd(act, _mm512_set1_pd(1.0));
+  }
+  KREG_AVX512_TARGET static Vec gather(__mmask8 act, __m512i idx,
+                                       const double* base) {
+    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), act, idx, base, 8);
+  }
+  KREG_AVX512_TARGET static Perm perm_index(__m512i offsets) {
+    return offsets;
+  }
+  /// Active lane l takes block[perm[l]] from the 16 doubles at `block`.
+  KREG_AVX512_TARGET static Vec permute_block(__mmask8 act,
+                                              const double* block,
+                                              Perm perm) {
+    return _mm512_maskz_permutex2var_pd(act, _mm512_loadu_pd(block), perm,
+                                        _mm512_loadu_pd(block + 8));
+  }
+  /// How many of p[7], p[6], … in a row pass the left-walk predicate
+  /// x − p[j] ≤ h.
+  KREG_AVX512_TARGET static std::size_t accepted_left(const double* p,
+                                                      double x, double h) {
+    const __mmask8 m = _mm512_cmp_pd_mask(
+        _mm512_sub_pd(_mm512_set1_pd(x), _mm512_loadu_pd(p)),
+        _mm512_set1_pd(h), _CMP_LE_OQ);
+    return static_cast<std::size_t>(
+        std::countl_one(static_cast<std::uint8_t>(m)));
+  }
+  /// How many of p[0], p[1], … in a row pass the right-walk predicate
+  /// p[j] − x ≤ h.
+  KREG_AVX512_TARGET static std::size_t accepted_right(const double* p,
+                                                       double x, double h) {
+    const __mmask8 m = _mm512_cmp_pd_mask(
+        _mm512_sub_pd(_mm512_loadu_pd(p), _mm512_set1_pd(x)),
+        _mm512_set1_pd(h), _CMP_LE_OQ);
+    return static_cast<std::size_t>(
+        std::countr_one(static_cast<std::uint8_t>(m)));
+  }
+};
+
+template <>
+struct Avx512Lanes<float> {
+  using Vec = __m256;
+  using Perm = __m256i;
+  static constexpr std::size_t kWalk = 16;  ///< candidates per walk compare
+
+  KREG_AVX512_TARGET static Vec load(const float* p) {
+    return _mm256_loadu_ps(p);
+  }
+  KREG_AVX512_TARGET static void store(float* p, Vec v) {
+    _mm256_storeu_ps(p, v);
+  }
+  KREG_AVX512_TARGET static Vec add(Vec a, Vec b) {
+    return _mm256_add_ps(a, b);
+  }
+  KREG_AVX512_TARGET static Vec mul(Vec a, Vec b) {
+    return _mm256_mul_ps(a, b);
+  }
+  KREG_AVX512_TARGET static Vec abs_diff(Vec a, Vec b) {
+    return _mm256_and_ps(_mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)),
+                         _mm256_sub_ps(a, b));
+  }
+  KREG_AVX512_TARGET static Vec ones(__mmask8 act) {
+    return _mm256_maskz_mov_ps(act, _mm256_set1_ps(1.0f));
+  }
+  KREG_AVX512_TARGET static Vec gather(__mmask8 act, __m512i idx,
+                                       const float* base) {
+    return _mm512_mask_i64gather_ps(_mm256_setzero_ps(), act, idx, base, 4);
+  }
+  KREG_AVX512_TARGET static Perm perm_index(__m512i offsets) {
+    // The all-lanes maskz form, because GCC 12's header for the unmasked
+    // _mm512_cvtepi64_epi32 trips -Wmaybe-uninitialized.
+    return _mm512_maskz_cvtepi64_epi32(0xff, offsets);
+  }
+  KREG_AVX512_TARGET static Vec permute_block(__mmask8 act,
+                                              const float* block, Perm perm) {
+    return _mm256_maskz_permutex2var_ps(act, _mm256_loadu_ps(block), perm,
+                                        _mm256_loadu_ps(block + 8));
+  }
+  KREG_AVX512_TARGET static std::size_t accepted_left(const float* p,
+                                                      float x, float h) {
+    const __mmask16 m = _mm512_cmp_ps_mask(
+        _mm512_sub_ps(_mm512_set1_ps(x), _mm512_loadu_ps(p)),
+        _mm512_set1_ps(h), _CMP_LE_OQ);
+    return static_cast<std::size_t>(
+        std::countl_one(static_cast<std::uint16_t>(m)));
+  }
+  KREG_AVX512_TARGET static std::size_t accepted_right(const float* p,
+                                                       float x, float h) {
+    const __mmask16 m = _mm512_cmp_ps_mask(
+        _mm512_sub_ps(_mm512_loadu_ps(p), _mm512_set1_ps(x)),
+        _mm512_set1_ps(h), _CMP_LE_OQ);
+    return static_cast<std::size_t>(
+        std::countr_one(static_cast<std::uint16_t>(m)));
+  }
+};
+
+/// Blocked phase-1 pointer walks: test kWalk admission candidates per
+/// compare instead of one. The scalar walk stops at the *first* failing
+/// element; counting the leading (left walk, descending) or trailing
+/// (right walk, ascending) accepted lanes of the predicate mask stops at
+/// exactly the same element — each lane evaluates the scalar predicate's
+/// own subtract-and-compare, and phase 1 carries no floating-point state,
+/// so the extents are identical integers. The scalar loop serves the
+/// < kWalk remaining candidates at the array edges.
+template <class Scalar>
+KREG_AVX512_TARGET inline std::size_t walk_lo_avx512(Scalar x,
+                                                     const Scalar* xs,
+                                                     std::size_t lo,
+                                                     Scalar h) {
+  constexpr std::size_t kWalk = Avx512Lanes<Scalar>::kWalk;
+  while (lo >= kWalk) {
+    const std::size_t acc =
+        Avx512Lanes<Scalar>::accepted_left(xs + lo - kWalk, x, h);
     lo -= acc;
-    if (acc < 8) {
+    if (acc < kWalk) {
       return lo;
     }
   }
@@ -95,18 +248,18 @@ inline std::size_t walk_lo_avx512(double x, const double* xs, std::size_t lo,
   return lo;
 }
 
-inline std::size_t walk_hi_avx512(double x, const double* xs, std::size_t hi,
-                                  std::size_t n, double h) {
-  const __m512d vx = _mm512_set1_pd(x);
-  const __m512d vh = _mm512_set1_pd(h);
-  while (hi + 8 < n) {
-    const __m512d vs = _mm512_loadu_pd(xs + hi + 1);
-    const __mmask8 m =
-        _mm512_cmp_pd_mask(_mm512_sub_pd(vs, vx), vh, _CMP_LE_OQ);
-    const auto acc = static_cast<std::size_t>(
-        std::countr_one(static_cast<unsigned char>(m)));
+template <class Scalar>
+KREG_AVX512_TARGET inline std::size_t walk_hi_avx512(Scalar x,
+                                                     const Scalar* xs,
+                                                     std::size_t hi,
+                                                     std::size_t n,
+                                                     Scalar h) {
+  constexpr std::size_t kWalk = Avx512Lanes<Scalar>::kWalk;
+  while (hi + kWalk < n) {
+    const std::size_t acc =
+        Avx512Lanes<Scalar>::accepted_right(xs + hi + 1, x, h);
     hi += acc;
-    if (acc < 8) {
+    if (acc < kWalk) {
       return hi;
     }
   }
@@ -116,51 +269,56 @@ inline std::size_t walk_hi_avx512(double x, const double* xs, std::size_t hi,
   return hi;
 }
 
-/// Compile-time-terms AVX-512 resume for LaneBatch<double, 8·V>.
+/// One admission step of an 8-lane group: the scalar sweep's m-loop
+/// (`s_m += pw; t_m += y·pw; pw *= d`) on the elements (xv, yv) in every
+/// active lane, exact zeros (pw = +0.0) in the others.
+template <class Scalar, std::size_t T>
+KREG_AVX512_TARGET inline void admit_group(
+    typename Avx512Lanes<Scalar>::Vec (&sm)[T],
+    typename Avx512Lanes<Scalar>::Vec (&tm)[T],
+    typename Avx512Lanes<Scalar>::Vec xi,
+    typename Avx512Lanes<Scalar>::Vec xv,
+    typename Avx512Lanes<Scalar>::Vec yv, __mmask8 act) {
+  using Ops = Avx512Lanes<Scalar>;
+  const typename Ops::Vec dv = Ops::abs_diff(xi, xv);
+  typename Ops::Vec pw = Ops::ones(act);
+  for (std::size_t m = 0; m < T; ++m) {
+    sm[m] = Ops::add(sm[m], pw);
+    tm[m] = Ops::add(tm[m], Ops::mul(yv, pw));
+    pw = Ops::mul(pw, dv);
+  }
+}
+
+/// Compile-time-terms AVX-512 resume for LaneBatch<Scalar, 8·V>.
 /// Bit-for-bit the operations of `window_sweep_resume` per lane.
-template <std::size_t T, std::size_t V, class HView, class WriteResid>
-inline void batch_resume_avx512_impl(LaneBatch<double, 8 * V>& st,
-                                     std::span<const double> xs_sorted,
-                                     std::span<const double> ys_sorted,
-                                     HView hs, const SweepPolynomial& poly,
-                                     WriteResid&& write,
-                                     std::size_t prefetch,
-                                     BatchRunStats* stats) {
+template <class Scalar, std::size_t T, std::size_t V, class HView,
+          class WriteResid>
+KREG_AVX512_TARGET void batch_resume_avx512_impl(
+    LaneBatch<Scalar, 8 * V>& st, std::span<const Scalar> xs_sorted,
+    std::span<const Scalar> ys_sorted, HView hs, const SweepPolynomial& poly,
+    WriteResid&& write, std::size_t prefetch, BatchRunStats* stats) {
+  using Ops = Avx512Lanes<Scalar>;
+  using Vec = typename Ops::Vec;
   constexpr std::size_t C = 8 * V;
   const std::size_t n = xs_sorted.size();
   const std::size_t k = hs.size();
-  const double* xs = xs_sorted.data();
-  const double* ys = ys_sorted.data();
+  const Scalar* xs = xs_sorted.data();
+  const Scalar* ys = ys_sorted.data();
 
-  __m512d sm[T][V], tm[T][V], xi[V];
-  for (std::size_t m = 0; m < T; ++m) {
-    for (std::size_t v = 0; v < V; ++v) {
-      sm[m][v] = _mm512_loadu_pd(st.s_m[m] + 8 * v);
-      tm[m][v] = _mm512_loadu_pd(st.t_m[m] + 8 * v);
-    }
-  }
-  for (std::size_t v = 0; v < V; ++v) {
-    xi[v] = _mm512_loadu_pd(st.xi.data() + 8 * v);
-  }
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512i onei = _mm512_set1_epi64(1);
-  const __m512d absmask =
-      _mm512_castsi512_pd(_mm512_set1_epi64(0x7fffffffffffffffLL));
+  const __m256i one = _mm256_set1_epi32(1);
 
   alignas(64) std::int64_t cnt[C], base[C];
-  alignas(64) double smbuf[T][C], tmbuf[T][C];
-  alignas(64) double num[C], den[C];
+  alignas(64) std::array<Scalar, C> sq{};
   std::array<std::size_t, C> lo_new{}, hi_new{};
 
   for (std::size_t b = 0; b < k; ++b) {
-    const double h = hs[b];
+    const Scalar h = hs[b];
 
-    // Phase 1: blocked pointer walks (8 candidates per compare), same
-    // admission predicate and the same stopping element as the scalar
-    // sweep — see walk_lo_avx512/walk_hi_avx512 above.
+    // Phase 1: blocked pointer walks, same admission predicate and the
+    // same stopping element as the scalar sweep — see walk_lo_avx512 and
+    // walk_hi_avx512 above.
     for (std::size_t l = 0; l < st.lanes; ++l) {
-      const double x = st.xi[l];
+      const Scalar x = st.xi[l];
       lo_new[l] = walk_lo_avx512(x, xs, st.lo[l], h);
       hi_new[l] = walk_hi_avx512(x, xs, st.hi[l], n, h);
     }
@@ -170,10 +328,10 @@ inline void batch_resume_avx512_impl(LaneBatch<double, 8 * V>& st,
     // 8-lane group runs its own step loop so the contiguous-run detection
     // (batched_lanes_contig.hpp) applies per group: the bases are fixed
     // for the whole run, so when the group's active bases fit one
-    // 16-double window the per-step masked gather becomes two full-width
-    // loads + one masked two-register permute (vpermt2pd) — the same
-    // elements and the same masked zeros, so bitwise-identical values —
-    // and the remaining (bounds-clipped) steps fall back to the gather.
+    // 16-element window the per-step masked gather becomes two block
+    // loads + one masked two-register permute — the same elements and the
+    // same masked zeros, so bitwise-identical values — and the remaining
+    // (bounds-clipped) steps fall back to the gather.
     for (int phase = 0; phase < 2; ++phase) {
       const bool left = phase == 0;
       for (std::size_t l = 0; l < st.lanes; ++l) {
@@ -200,172 +358,119 @@ inline void batch_resume_avx512_impl(LaneBatch<double, 8 * V>& st,
         }
         const ContigRun run =
             detect_contig_run(cnt + 8 * v, base + 8 * v, 8, gmax, n, left);
-        __m512i vpidx = _mm512_setzero_si512();
+        typename Ops::Perm perm = Ops::perm_index(_mm512_setzero_si512());
         if (run.steps != 0) {
-          alignas(64) std::int64_t pidx[8];
+          alignas(64) std::int64_t offsets[8];
           for (std::size_t l = 0; l < 8; ++l) {
-            pidx[l] =
+            offsets[l] =
                 cnt[8 * v + l] > 0 ? base[8 * v + l] - run.min_base : 0;
           }
-          vpidx = _mm512_load_si512(pidx);
+          perm = Ops::perm_index(_mm512_load_si512(offsets));
         }
         if (stats != nullptr) {
           stats->contig_steps += run.steps;
           stats->gather_steps += gmax - run.steps;
         }
-        const __m512i vcnt = _mm512_load_si512(cnt + 8 * v);
+        // The step counters are 32-bit lanes in a ymm, so the float steps
+        // run without zmm uops (which would close a vector port while in
+        // flight); batch_resume_avx512 keeps n, and so every count, below
+        // 2^31.
+        const __m256i vcnt = _mm512_maskz_cvtepi64_epi32(
+            0xff, _mm512_load_si512(cnt + 8 * v));
         const __m512i vbase = _mm512_load_si512(base + 8 * v);
-        __m512i vs = _mm512_setzero_si512();
-        for (std::size_t s = 0; s < gmax; ++s) {
-          const __mmask8 act = _mm512_cmplt_epi64_mask(vs, vcnt);
-          __m512d xv, yv;
-          if (s < run.steps) {
-            const std::int64_t blk =
-                left ? run.min_base - static_cast<std::int64_t>(s)
-                     : run.min_base + static_cast<std::int64_t>(s);
-            const double* px = xs + blk;
-            const double* py = ys + blk;
-            xv = _mm512_maskz_permutex2var_pd(act, _mm512_loadu_pd(px),
-                                              vpidx, _mm512_loadu_pd(px + 8));
-            yv = _mm512_maskz_permutex2var_pd(act, _mm512_loadu_pd(py),
-                                              vpidx, _mm512_loadu_pd(py + 8));
-          } else {
-            const __m512i vidx = left ? _mm512_sub_epi64(vbase, vs)
-                                      : _mm512_add_epi64(vbase, vs);
-            xv = _mm512_mask_i64gather_pd(zero, act, vidx, xs, 8);
-            yv = _mm512_mask_i64gather_pd(zero, act, vidx, ys, 8);
-          }
+        __m256i vs = _mm256_setzero_si256();
+        // The group's moment sums stay in registers for the whole run.
+        const Vec xi = Ops::load(st.xi.data() + 8 * v);
+        Vec sm[T], tm[T];
+        for (std::size_t m = 0; m < T; ++m) {
+          sm[m] = Ops::load(st.s_m[m] + 8 * v);
+          tm[m] = Ops::load(st.t_m[m] + 8 * v);
+        }
+        // Contiguous steps first, then the gathers; step s reads element
+        // base ∓ s of each active lane.
+        const std::int64_t dir = left ? -1 : 1;
+        std::size_t s = 0;
+        for (; s < run.steps; ++s) {
+          const __mmask8 act = _mm256_cmpgt_epi32_mask(vcnt, vs);
+          vs = _mm256_add_epi32(vs, one);
           if (prefetch != 0) {
-            // The run's extreme bases slide linearly with s, so the
-            // frontier `prefetch` steps ahead is the two endpoint lines.
-            const auto d = static_cast<std::int64_t>(s + prefetch);
-            const std::int64_t pmin =
-                left ? run.min_base - d : run.min_base + d;
-            const std::int64_t pmax =
-                left ? run.max_base - d : run.max_base + d;
-            if (pmin >= 0 && pmin < static_cast<std::int64_t>(n)) {
-              _mm_prefetch(reinterpret_cast<const char*>(xs + pmin),
-                           _MM_HINT_T0);
-              _mm_prefetch(reinterpret_cast<const char*>(ys + pmin),
-                           _MM_HINT_T0);
-            }
-            if (pmax != pmin && pmax >= 0 &&
-                pmax < static_cast<std::int64_t>(n)) {
-              _mm_prefetch(reinterpret_cast<const char*>(xs + pmax),
-                           _MM_HINT_T0);
-              _mm_prefetch(reinterpret_cast<const char*>(ys + pmax),
-                           _MM_HINT_T0);
-            }
+            prefetch_run_frontier(xs, ys, n, run, left, s + prefetch);
           }
-          const __m512d dv = _mm512_and_pd(absmask, _mm512_sub_pd(xi[v], xv));
-          __m512d pw = _mm512_mask_blend_pd(act, zero, one);
-          vs = _mm512_add_epi64(vs, onei);
-          for (std::size_t m = 0; m < T; ++m) {
-            sm[m][v] = _mm512_add_pd(sm[m][v], pw);
-            tm[m][v] = _mm512_add_pd(tm[m][v], _mm512_mul_pd(yv, pw));
-            pw = _mm512_mul_pd(pw, dv);
+          const std::int64_t blk =
+              run.min_base + dir * static_cast<std::int64_t>(s);
+          admit_group<Scalar, T>(sm, tm, xi,
+                                 Ops::permute_block(act, xs + blk, perm),
+                                 Ops::permute_block(act, ys + blk, perm),
+                                 act);
+        }
+        for (; s < gmax; ++s) {
+          const __mmask8 act = _mm256_cmpgt_epi32_mask(vcnt, vs);
+          vs = _mm256_add_epi32(vs, one);
+          if (prefetch != 0) {
+            prefetch_run_frontier(xs, ys, n, run, left, s + prefetch);
           }
+          const __m512i idx = _mm512_add_epi64(
+              vbase, _mm512_set1_epi64(dir * static_cast<std::int64_t>(s)));
+          admit_group<Scalar, T>(sm, tm, xi, Ops::gather(act, idx, xs),
+                                 Ops::gather(act, idx, ys), act);
+        }
+        for (std::size_t m = 0; m < T; ++m) {
+          Ops::store(st.s_m[m] + 8 * v, sm[m]);
+          Ops::store(st.t_m[m] + 8 * v, tm[m]);
         }
       }
-      if (phase == 1) {
-        for (std::size_t l = 0; l < st.lanes; ++l) {
-          st.lo[l] = lo_new[l];
-          st.hi[l] = hi_new[l];
-        }
-      }
-    }
-
-    // Phase 3: recombination, identical expression shapes to the generic
-    // path (spilled to buffers — k iterations, cold next to phase 2).
-    for (std::size_t m = 0; m < T; ++m) {
-      for (std::size_t v = 0; v < V; ++v) {
-        _mm512_store_pd(smbuf[m] + 8 * v, sm[m][v]);
-        _mm512_store_pd(tmbuf[m] + 8 * v, tm[m][v]);
-      }
-    }
-    for (std::size_t l = 0; l < C; ++l) {
-      num[l] = 0.0;
-      den[l] = 0.0;
-    }
-    const double inv_h = 1.0 / h;
-    double inv_pow = 1.0;
-    for (std::size_t m = 0; m < T; ++m) {
-      const double c = poly.coeff[m];
-      if (c != 0.0) {
-        if (m == 0) {
-          for (std::size_t l = 0; l < C; ++l) {
-            num[l] += c * (tmbuf[0][l] - st.yi[l]) * inv_pow;
-          }
-          for (std::size_t l = 0; l < C; ++l) {
-            den[l] += c * (smbuf[0][l] - 1.0) * inv_pow;
-          }
-        } else {
-          for (std::size_t l = 0; l < C; ++l) {
-            num[l] += c * tmbuf[m][l] * inv_pow;
-          }
-          for (std::size_t l = 0; l < C; ++l) {
-            den[l] += c * smbuf[m][l] * inv_pow;
-          }
-        }
-      }
-      inv_pow *= inv_h;
     }
     for (std::size_t l = 0; l < st.lanes; ++l) {
-      const double dd = den[l];
-      const double guarded = dd > 0.0 ? dd : 1.0;
-      const double e = st.yi[l] - num[l] / guarded;
-      write(b, l, dd > 0.0 ? e * e : 0.0);
+      st.lo[l] = lo_new[l];
+      st.hi[l] = hi_new[l];
     }
-  }
 
-  for (std::size_t m = 0; m < T; ++m) {
-    for (std::size_t v = 0; v < V; ++v) {
-      _mm512_storeu_pd(st.s_m[m] + 8 * v, sm[m][v]);
-      _mm512_storeu_pd(st.t_m[m] + 8 * v, tm[m][v]);
+    // Phase 3: the shared recombination.
+    st.recombine(h, poly, sq);
+    for (std::size_t l = 0; l < st.lanes; ++l) {
+      write(b, l, sq[l]);
     }
   }
 }
 
 /// Runtime→compile-time dispatch on the polynomial's term count. Returns
-/// false (caller falls back to the generic path) for term counts outside
-/// the supported 1…kMaxPower+1 range.
-template <std::size_t C, class HView, class WriteResid>
-inline bool batch_resume_avx512(LaneBatch<double, C>& st,
-                                std::span<const double> xs_sorted,
-                                std::span<const double> ys_sorted, HView hs,
+/// false (caller falls back to the generic path) for a term count no
+/// sweepable kernel has (1, 2, 3, 5 and 7 are instantiated) and for
+/// n ≥ 2^31, beyond the kernel's 32-bit step counters.
+/// Requires avx512_lanes_available().
+template <class Scalar, std::size_t C, class HView, class WriteResid>
+inline bool batch_resume_avx512(LaneBatch<Scalar, C>& st,
+                                std::span<const Scalar> xs_sorted,
+                                std::span<const Scalar> ys_sorted, HView hs,
                                 const SweepPolynomial& poly,
                                 WriteResid&& write, std::size_t prefetch,
                                 BatchRunStats* stats) {
   static_assert(C % 8 == 0);
   constexpr std::size_t V = C / 8;
+  if (xs_sorted.size() >
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    return false;
+  }
   switch (poly.max_power + 1) {
     case 1:
-      batch_resume_avx512_impl<1, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 1, V>(st, xs_sorted, ys_sorted, hs,
+                                             poly, write, prefetch, stats);
       return true;
     case 2:
-      batch_resume_avx512_impl<2, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 2, V>(st, xs_sorted, ys_sorted, hs,
+                                             poly, write, prefetch, stats);
       return true;
     case 3:
-      batch_resume_avx512_impl<3, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
-      return true;
-    case 4:
-      batch_resume_avx512_impl<4, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 3, V>(st, xs_sorted, ys_sorted, hs,
+                                             poly, write, prefetch, stats);
       return true;
     case 5:
-      batch_resume_avx512_impl<5, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
-      return true;
-    case 6:
-      batch_resume_avx512_impl<6, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 5, V>(st, xs_sorted, ys_sorted, hs,
+                                             poly, write, prefetch, stats);
       return true;
     case 7:
-      batch_resume_avx512_impl<7, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 7, V>(st, xs_sorted, ys_sorted, hs,
+                                             poly, write, prefetch, stats);
       return true;
     default:
       return false;
@@ -373,5 +478,7 @@ inline bool batch_resume_avx512(LaneBatch<double, C>& st,
 }
 
 }  // namespace kreg::detail
+
+#undef KREG_AVX512_TARGET
 
 #endif  // KREG_HAVE_BATCHED_AVX512

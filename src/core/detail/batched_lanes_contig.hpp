@@ -91,6 +91,29 @@ inline ContigRun detect_contig_run(const std::int64_t* cnt,
   return run;
 }
 
+/// Software prefetch for one step of a run: the run's extreme bases slide
+/// linearly with the step, so the frontier `ahead` steps on is the two
+/// endpoint lines, prefetched in xs and ys when inside [0, n). Prefetches
+/// change no architectural state, so values are bitwise identical for any
+/// distance. Requires run.any.
+template <class Scalar>
+inline void prefetch_run_frontier(const Scalar* xs, const Scalar* ys,
+                                  std::size_t n, const ContigRun& run,
+                                  bool left, std::size_t ahead) {
+  const auto d = static_cast<std::int64_t>(ahead);
+  const auto ni = static_cast<std::int64_t>(n);
+  const std::int64_t pmin = left ? run.min_base - d : run.min_base + d;
+  const std::int64_t pmax = left ? run.max_base - d : run.max_base + d;
+  if (pmin >= 0 && pmin < ni) {
+    __builtin_prefetch(xs + pmin);
+    __builtin_prefetch(ys + pmin);
+  }
+  if (pmax != pmin && pmax >= 0 && pmax < ni) {
+    __builtin_prefetch(xs + pmax);
+    __builtin_prefetch(ys + pmax);
+  }
+}
+
 /// One contiguous-run transpose step for the generic (auto-vectorized)
 /// path: stage the block [blk_start, blk_start + W) of xs/ys with one
 /// contiguous full-width copy (the compiler turns it into block vector

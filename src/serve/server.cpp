@@ -7,8 +7,11 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 #include "core/grid.hpp"
 #include "core/knn_sweep.hpp"
@@ -190,15 +193,7 @@ Server::Server(ServerConfig config)
 
 Server::~Server() {
   stop();
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (std::thread& thread : threads_) {
-      if (thread.joinable()) {
-        thread.join();
-      }
-    }
-    threads_.clear();
-  }
+  join_connections(true);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -207,8 +202,37 @@ Server::~Server() {
 }
 
 void Server::stop() {
-  if (!stopping_.exchange(true) && listen_fd_ >= 0) {
+  const std::lock_guard<std::mutex> lock(threads_mutex_);
+  if (stopping_.exchange(true)) {
+    return;
+  }
+  if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);  // breaks the blocking accept
+  }
+  // Each handler's next read sees EOF; its write side stays open for a
+  // reply in flight. A done handler is closing its fd, whose number the
+  // kernel may already have reused, so it is left alone.
+  for (const Connection& connection : connections_) {
+    if (!connection.done) {
+      ::shutdown(connection.fd, SHUT_RD);
+    }
+  }
+}
+
+void Server::join_connections(bool all) {
+  std::list<Connection> finished;
+  {
+    const std::lock_guard<std::mutex> lock(threads_mutex_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (all || it->done) {
+        finished.splice(finished.end(), connections_, it);
+      }
+      it = next;
+    }
+  }
+  for (Connection& connection : finished) {
+    connection.thread.join();
   }
 }
 
@@ -222,18 +246,30 @@ void Server::run() {
       }
       continue;
     }
+    join_connections(false);
     const std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (std::thread& thread : threads_) {
-      if (thread.joinable()) {
-        thread.join();
-      }
+    if (stopping_.load()) {
+      ::close(fd);  // stop() ran after accept: it could not shut this one
+      break;
     }
-    threads_.clear();
+    Connection& connection = connections_.emplace_back();
+    connection.fd = fd;
+    try {
+      connection.thread = std::thread([this, fd, &connection] {
+        handle_connection(fd);
+        {
+          const std::lock_guard<std::mutex> done_lock(threads_mutex_);
+          connection.done = true;
+        }
+        ::close(fd);
+      });
+    } catch (const std::system_error&) {
+      connections_.pop_back();  // no thread to spare: refuse this client
+      ::close(fd);
+    }
   }
+  stop();  // also after an accept error, so no idle client holds the join
+  join_connections(true);
   context_.scheduler().stop_pump();
 }
 
@@ -253,11 +289,9 @@ void Server::handle_connection(int fd) {
       buffer.erase(0, newline + 1);
       bool shutdown = false;
       if (!send_line(fd, context_.handle_line(line, &shutdown))) {
-        ::close(fd);
         return;
       }
       if (shutdown) {
-        ::close(fd);
         stop();
         return;
       }
@@ -270,7 +304,6 @@ void Server::handle_connection(int fd) {
       break;
     }
   }
-  ::close(fd);
 }
 
 }  // namespace kreg::serve

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,7 +11,6 @@
 #include <string_view>
 #include <thread>
 #include <tuple>
-#include <vector>
 
 #include "data/dataset.hpp"
 #include "serve/protocol.hpp"
@@ -76,11 +76,13 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Accept loop; returns after a client sends "shutdown" (or stop() is
-  /// called from another thread). Joins every connection handler and
-  /// removes the socket file before returning.
+  /// called from another thread). Joins finished connection handlers as it
+  /// goes, and every handler before returning.
   void run();
 
-  /// Asks a running accept loop to exit. Safe from any thread.
+  /// Asks a running accept loop to exit and shuts down the read side of
+  /// every open connection, so idle clients do not hold up run(); replies
+  /// already being computed are still sent. Safe from any thread.
   void stop();
 
   const std::string& socket_path() const noexcept {
@@ -89,14 +91,24 @@ class Server {
   ServeContext& context() noexcept { return context_; }
 
  private:
+  /// One client connection and its handler thread.
+  struct Connection {
+    int fd = -1;
+    bool done = false;  ///< handler finished; fd is being closed
+    std::thread thread;
+  };
+
   void handle_connection(int fd);
+  /// Joins the finished handlers, or with `all` every handler (after
+  /// stop(), each one reads EOF and finishes).
+  void join_connections(bool all);
 
   ServerConfig config_;
   ServeContext context_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::mutex threads_mutex_;
-  std::vector<std::thread> threads_;
+  std::list<Connection> connections_;  ///< guarded by threads_mutex_
 };
 
 }  // namespace kreg::serve

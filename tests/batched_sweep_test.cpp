@@ -2,16 +2,25 @@
 // the σ-sort key and batch ordering, lane-width resolution, bitwise parity
 // of the batched host profile with the scalar resident/tiled sweeps across
 // lane widths, σ on/off, ragged tails, precisions, and streaming tilings —
-// and the batched device kernels against the scalar device baseline.
+// and the batched device kernels against the scalar device baseline. The
+// LaneKernelParity tests hold both lane kernels (generic and AVX-512) to the
+// scalar resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/batched_sweep.hpp"
+#include "core/detail/batched_lanes.hpp"
+#include "core/detail/device_sweep.hpp"
 #include "core/grid.hpp"
 #include "core/multi_device_selector.hpp"
 #include "core/spmd_selector.hpp"
@@ -667,6 +676,173 @@ TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
   const SelectionResult got =
       MultiDeviceGridSelector(devices, streamed).select(data, grid);
   expect_same_selection(got, want);
+}
+
+// --- lane kernels against the scalar resume ----------------------------------
+//
+// batch_resume picks one kernel per machine, so the profile suites above
+// cover only that one. These tests call the generic lanes and the AVX-512
+// kernel directly and hold each against window_sweep_resume, lane by lane.
+
+enum class LaneKernel { kGeneric, kAvx512 };
+
+/// Sorted (X, Y): X uniform on [0, 1], or clustered — four tight clusters
+/// on a 1e-4 lattice, so exact duplicates (distance 0) occur too.
+template <class Scalar>
+kreg::SortedDataset<Scalar> lane_data(bool clustered, std::size_t n,
+                                      std::uint64_t seed) {
+  Stream s(seed);
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = clustered ? 0.25 * static_cast<double>(s.index(4)) +
+                           std::round(s.gaussian(0.0, 0.01) * 1e4) / 1e4
+                     : s.uniform();
+    y[i] = std::sin(6.0 * x[i]) + s.gaussian(0.0, 0.3);
+  }
+  return kreg::sort_dataset<Scalar>(x, y);
+}
+
+template <class Scalar>
+auto bits(Scalar v) {
+  if constexpr (sizeof(Scalar) == 8) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return std::bit_cast<std::uint32_t>(v);
+  }
+}
+
+/// Runs one lane kernel over every observation of a sorted dataset — in
+/// C-lane batches, the first half of the positions in order and the rest
+/// shuffled (so both contiguous runs and gathers occur), with a ragged last
+/// batch — across two k-block slices resumed through batch_load/batch_store.
+/// Every residual and the carried lo/hi/moment state after each slice must
+/// equal window_sweep_resume's bit for bit, and both phase-2 step counters
+/// must fire.
+template <class Scalar, std::size_t C>
+void expect_lane_kernel_matches_scalar(LaneKernel which, KernelType kernel,
+                                       bool clustered, std::size_t prefetch) {
+  constexpr std::size_t n = 203;  // ragged last batch for C = 8 and 16
+  const kreg::SortedDataset<Scalar> sorted =
+      lane_data<Scalar>(clustered, n, 5);
+  const std::span<const Scalar> xs(sorted.x);
+  const std::span<const Scalar> ys(sorted.y);
+  const std::vector<double> grid_d = BandwidthGrid(0.002, 0.4, 12).values();
+  const std::vector<Scalar> grid(grid_d.begin(), grid_d.end());
+  const std::size_t k = grid.size();
+  const std::size_t slices[] = {0, 5, k};
+  const kreg::SweepPolynomial poly = kreg::sweep_polynomial(kernel);
+  const std::size_t terms = poly.max_power + 1;
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::shuffle(order.begin() + n / 2, order.end(), std::mt19937(11));
+
+  // Scalar reference and lane-batched state, side by side.
+  std::vector<std::size_t> ref_lo(n), ref_hi(n), lo(n), hi(n);
+  std::vector<Scalar> ref_sm(n * terms), ref_tm(n * terms);
+  std::vector<Scalar> sm(n * terms), tm(n * terms);
+  std::vector<Scalar> want(n * k), got(n * k);
+  for (std::size_t p = 0; p < n; ++p) {
+    kreg::detail::window_sweep_seed<Scalar>(
+        ys, p, ref_lo[p], ref_hi[p],
+        std::span<Scalar>(ref_sm.data() + p * terms, terms),
+        std::span<Scalar>(ref_tm.data() + p * terms, terms));
+  }
+
+  BatchRunStats stats;
+  for (std::size_t slice = 0; slice + 1 < std::size(slices); ++slice) {
+    const std::size_t b0 = slices[slice];
+    const std::span<const Scalar> hs(grid.data() + b0, slices[slice + 1] - b0);
+    for (std::size_t p = 0; p < n; ++p) {
+      kreg::detail::window_sweep_resume<Scalar>(
+          xs, ys, hs, poly, p, ref_lo[p], ref_hi[p],
+          std::span<Scalar>(ref_sm.data() + p * terms, terms),
+          std::span<Scalar>(ref_tm.data() + p * terms, terms),
+          [&](std::size_t b, Scalar sq) { want[p * k + b0 + b] = sq; });
+    }
+    for (std::size_t g = 0; g < n; g += C) {
+      kreg::detail::LaneBatch<Scalar, C> st;
+      st.lanes = std::min(C, n - g);
+      for (std::size_t l = 0; l < st.lanes; ++l) {
+        st.pos[l] = order[g + l];
+      }
+      const auto key = [&st](std::size_t l) { return st.pos[l]; };
+      if (slice == 0) {
+        kreg::detail::batch_seed(st, xs, ys);
+      } else {
+        kreg::detail::batch_load(st, xs, ys, std::span(lo), std::span(hi),
+                                 std::span(sm), std::span(tm), terms, key);
+      }
+      const auto write = [&](std::size_t b, std::size_t l, Scalar sq) {
+        got[st.pos[l] * k + b0 + b] = sq;
+      };
+      if (which == LaneKernel::kGeneric) {
+        kreg::detail::batch_resume_generic(st, xs, ys, hs, poly, write,
+                                           prefetch, &stats);
+      } else {
+#if KREG_HAVE_BATCHED_AVX512
+        ASSERT_TRUE(kreg::detail::batch_resume_avx512(
+            st, xs, ys, hs, poly, write, prefetch, &stats));
+#endif
+      }
+      kreg::detail::batch_store(st, std::span(lo), std::span(hi),
+                                std::span(sm), std::span(tm), terms, key);
+    }
+    SCOPED_TRACE("after slice " + std::to_string(slice));
+    EXPECT_EQ(lo, ref_lo);
+    EXPECT_EQ(hi, ref_hi);
+    for (std::size_t i = 0; i < n * terms; ++i) {
+      ASSERT_EQ(bits(sm[i]), bits(ref_sm[i])) << "s_m, obs " << i / terms;
+      ASSERT_EQ(bits(tm[i]), bits(ref_tm[i])) << "t_m, obs " << i / terms;
+    }
+  }
+  for (std::size_t i = 0; i < n * k; ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i]))
+        << "obs " << i / k << ", b " << i % k;
+  }
+  EXPECT_GT(stats.contig_steps, 0u);
+  EXPECT_GT(stats.gather_steps, 0u);
+}
+
+/// Every sweepable kernel (1, 2, 3, 5 and 7 terms) × uniform/clustered X ×
+/// prefetch 0/4, at C = 8 and 16, for one precision.
+template <class Scalar>
+void expect_lane_kernel_matrix(LaneKernel which) {
+  for (const KernelType kernel :
+       {KernelType::kUniform, KernelType::kTriangular,
+        KernelType::kEpanechnikov, KernelType::kBiweight,
+        KernelType::kTriweight}) {
+    for (const bool clustered : {false, true}) {
+      for (const std::size_t prefetch : {0u, 4u}) {
+        SCOPED_TRACE(std::string(kreg::to_string(kernel)) +
+                     (clustered ? ", clustered X" : ", uniform X") +
+                     ", prefetch " + std::to_string(prefetch));
+        expect_lane_kernel_matches_scalar<Scalar, 8>(which, kernel,
+                                                     clustered, prefetch);
+        expect_lane_kernel_matches_scalar<Scalar, 16>(which, kernel,
+                                                      clustered, prefetch);
+      }
+    }
+  }
+}
+
+TEST(LaneKernelParity, GenericLanesMatchScalarResumeBitwise) {
+  expect_lane_kernel_matrix<double>(LaneKernel::kGeneric);
+  expect_lane_kernel_matrix<float>(LaneKernel::kGeneric);
+}
+
+TEST(LaneKernelParity, Avx512KernelMatchesScalarResumeBitwise) {
+#if KREG_HAVE_BATCHED_AVX512
+  if (const char* missing = kreg::detail::avx512_lanes_missing_feature()) {
+    GTEST_SKIP() << "this CPU lacks " << missing
+                 << ", which the AVX-512 lane kernel needs";
+  }
+  expect_lane_kernel_matrix<double>(LaneKernel::kAvx512);
+  expect_lane_kernel_matrix<float>(LaneKernel::kAvx512);
+#else
+  GTEST_SKIP() << "the AVX-512 lane kernel exists only in x86-64 builds";
+#endif
 }
 
 // --- launch_lanes ----------------------------------------------------------

@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -1007,21 +1009,29 @@ TEST(ServeContextTest, KnnGridSpecRoundsToAscendingCounts) {
 // Server (the daemon over a live UNIX socket)
 
 /// A Server on a fresh socket path with its accept loop on a background
-/// thread. Every client fd must be closed before destruction: stop() ends
-/// the accept loop, which then joins the connection handlers.
+/// thread. stop() ends the accept loop and shuts down the read side of every
+/// open connection, so destruction does not wait for clients to hang up.
 class LiveServer {
  public:
   LiveServer()
       : server_(kreg::serve::ServerConfig{
             "/tmp/kreg_serve_test_" + std::to_string(::getpid()) + ".sock",
             SchedulerConfig{}}),
-        thread_([this] { server_.run(); }) {}
+        thread_([this] {
+          server_.run();
+          run_returned_.set_value();
+        }) {}
   ~LiveServer() {
     server_.stop();
     thread_.join();
   }
   LiveServer(const LiveServer&) = delete;
   LiveServer& operator=(const LiveServer&) = delete;
+
+  /// Whether the accept loop's run() has returned within `timeout`.
+  bool run_returns_within(std::chrono::seconds timeout) const {
+    return returned_.wait_for(timeout) == std::future_status::ready;
+  }
 
   int connect() const {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -1039,6 +1049,8 @@ class LiveServer {
 
  private:
   kreg::serve::Server server_;
+  std::promise<void> run_returned_;
+  std::future<void> returned_ = run_returned_.get_future();
   std::thread thread_;
 };
 
@@ -1100,6 +1112,70 @@ TEST(ServerTest, ClientHangingUpBeforeItsReplyLeavesTheDaemonUp) {
   ASSERT_GE(fresh, 0);
   EXPECT_EQ(request(fresh, "ping"), "ok pong");
   ::close(fresh);
+}
+
+TEST(ServerTest, ShutdownReturnsWhileAnIdleClientIsConnected) {
+  LiveServer live;
+  const int idle = live.connect();
+  ASSERT_GE(idle, 0);
+  EXPECT_EQ(request(idle, "ping"), "ok pong");  // its handler now waits
+  const int quitter = live.connect();
+  ASSERT_GE(quitter, 0);
+  EXPECT_EQ(request(quitter, "shutdown"), "ok shutting down");
+
+  const bool returned = live.run_returns_within(std::chrono::seconds(5));
+  EXPECT_TRUE(returned) << "run() is still waiting on the idle client";
+  if (returned) {
+    // Its handler saw EOF and closed the connection.
+    char c = 0;
+    EXPECT_EQ(::read(idle, &c, 1), 0);
+  }
+  ::close(quitter);
+  ::close(idle);  // lets a hung run() finish, so a failure cannot hang
+}
+
+/// Lines of /proc/self/<name>: one per thread for "task" (a directory),
+/// one per memory mapping for "maps".
+std::size_t proc_self_count(const char* name) {
+  const std::string path = std::string("/proc/self/") + name;
+  std::size_t count = 0;
+  if (std::filesystem::is_directory(path)) {
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      (void)entry;
+      ++count;
+    }
+  } else {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(ServerTest, FinishedConnectionThreadsAreJoined) {
+  LiveServer live;
+  const auto ping_once = [&live] {
+    const int fd = live.connect();
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(request(fd, "ping"), "ok pong");
+    ::close(fd);
+  };
+  for (int i = 0; i < 8; ++i) {
+    ping_once();  // warm the thread-stack cache and the malloc arenas
+  }
+  const std::size_t tasks = proc_self_count("task");
+  const std::size_t maps = proc_self_count("maps");
+  for (int i = 0; i < 200; ++i) {
+    ping_once();
+  }
+  ping_once();  // its accept joins the handlers that just finished
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LE(proc_self_count("task"), tasks + 4);
+  // The kernel drops an exited thread from /proc/self/task at once, but an
+  // unjoined thread keeps its stack (and guard) mapping until the join: 200
+  // piled-up handlers would add about 400 mappings.
+  EXPECT_LE(proc_self_count("maps"), maps + 50);
 }
 
 TEST(ServerTest, OverlongRequestLineIsRefusedAndDisconnected) {
