@@ -31,18 +31,6 @@
 //                     (spmd window methods and the tiled host mirror)
 //   --memory-budget S device-memory budget for auto (n, k)-blocking, e.g.
 //                     128MiB (sizes accept b/KB/KiB/MB/MiB/...)
-//   --lane-width N    lanes per batch for the batched window kernels
-//                     (0 = auto, 1 = scalar, 4/8/16 = vector widths;
-//                     spmd window methods and the tiled host mirror)
-//   --sigma-sort on|off  enable/disable the σ-sort before lane batching
-//                     (on = the default position-length policy; bitwise
-//                     identical either way)
-//   --sigma-policy none|length|position-length  exact σ-sort policy:
-//                     length = PR 6's window-length sort, position-length
-//                     = two-key position-bucket + length sort (default)
-//   --prefetch-distance N  software-prefetch admission lines N phase-2
-//                     steps ahead in the batched kernels (0 = off, the
-//                     default; also KREG_PREFETCH_DIST)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -65,10 +53,7 @@ namespace {
                "  [--kernel epanechnikov|uniform|triangular|biweight|"
                "triweight|cosine|gaussian]\n"
                "  [--k K] [--hmin H] [--hmax H] [--refine] [--curve N]\n"
-               "  [--k-block N] [--n-block N] [--memory-budget SIZE]\n"
-               "  [--lane-width 0|1|4|8|16] [--sigma-sort on|off]\n"
-               "  [--sigma-policy none|length|position-length]\n"
-               "  [--prefetch-distance N]\n",
+               "  [--k-block N] [--n-block N] [--memory-budget SIZE]\n",
                argv0);
   std::exit(2);
 }
@@ -76,19 +61,17 @@ namespace {
 /// The cache-blocked host mirror of the streamed device sweep, exposed as a
 /// selector so --n-block / --k-block / --memory-budget drive the same tiling
 /// machinery on the CPU (see host_tiling_from_stream). Runs the batched
-/// (lane-vectorized) kernels by default — bitwise identical to the scalar
-/// tiled sweep for every lane width, so the switch is pure speed.
+/// (lane-vectorized) kernels — bitwise identical to the scalar tiled sweep,
+/// so batching is pure speed.
 class TiledWindowSelector final : public kreg::Selector {
  public:
-  TiledWindowSelector(kreg::KernelType kernel, kreg::HostTiling tiling,
-                      kreg::BatchedSweep batched)
-      : kernel_(kernel), tiling_(tiling), batched_(batched) {}
+  TiledWindowSelector(kreg::KernelType kernel, kreg::HostTiling tiling)
+      : kernel_(kernel), tiling_(tiling) {}
 
   kreg::SelectionResult select(const kreg::data::Dataset& data,
                                const kreg::BandwidthGrid& grid) const override {
     const std::vector<double> scores = kreg::window_cv_profile_batched(
-        data, grid.values(), kernel_, kreg::Precision::kDouble, batched_,
-        tiling_);
+        data, grid.values(), kernel_, kreg::Precision::kDouble, tiling_);
     std::size_t best = 0;
     for (std::size_t b = 1; b < scores.size(); ++b) {
       if (scores[b] < scores[best]) {
@@ -113,17 +96,6 @@ class TiledWindowSelector final : public kreg::Selector {
     if (tiling_.k_block != 0) {
       n += ",kblock=" + std::to_string(tiling_.k_block);
     }
-    const std::size_t lanes = kreg::resolve_lane_width(batched_.lane_width);
-    if (lanes > 1) {
-      n += ",lanes=" + std::to_string(lanes);
-      if (batched_.sigma != kreg::SigmaPolicy::kNone) {
-        n += ",sigma=" + std::string(kreg::to_string(batched_.sigma));
-      }
-      if (batched_.prefetch_distance != kreg::kPrefetchFromEnv &&
-          batched_.prefetch_distance != 0) {
-        n += ",prefetch=" + std::to_string(batched_.prefetch_distance);
-      }
-    }
     n += ")";
     return n;
   }
@@ -131,7 +103,6 @@ class TiledWindowSelector final : public kreg::Selector {
  private:
   kreg::KernelType kernel_;
   kreg::HostTiling tiling_;
-  kreg::BatchedSweep batched_;
 };
 
 kreg::KernelType parse_kernel(const std::string& name) {
@@ -160,7 +131,6 @@ int main(int argc, char** argv) {
   bool refine = false;
   std::size_t curve_points = 0;
   kreg::StreamingConfig stream;
-  kreg::BatchedSweep batched;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -197,29 +167,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--memory-budget") {
       try {
         stream.memory_budget_bytes = kreg::parse_memory_budget(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        usage(argv[0]);
-      }
-    } else if (arg == "--lane-width") {
-      batched.lane_width = std::strtoul(next().c_str(), nullptr, 10);
-    } else if (arg == "--sigma-sort") {
-      const std::string v = next();
-      if (v != "on" && v != "off") {
-        usage(argv[0]);
-      }
-      batched.sigma = v == "on" ? kreg::SigmaPolicy::kPositionLength
-                                : kreg::SigmaPolicy::kNone;
-    } else if (arg == "--sigma-policy") {
-      try {
-        batched.sigma = kreg::parse_sigma_policy(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        usage(argv[0]);
-      }
-    } else if (arg == "--prefetch-distance") {
-      try {
-        batched.prefetch_distance = kreg::parse_prefetch_distance(next());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         usage(argv[0]);
@@ -390,7 +337,7 @@ int main(int argc, char** argv) {
       selector = std::make_unique<kreg::WindowSweepSelector>(kernel);
     } else if (method == "tiled") {
       selector = std::make_unique<TiledWindowSelector>(
-          kernel, kreg::host_tiling_from_stream(stream), batched);
+          kernel, kreg::host_tiling_from_stream(stream));
     } else if (method == "spmd-per-row" || method == "spmd-window") {
       // spmd-window is kept as an explicit alias now that plain spmd
       // defaults to the window sweep.
@@ -401,9 +348,6 @@ int main(int argc, char** argv) {
                           ? kreg::SweepAlgorithm::kPerRowSort
                           : kreg::SweepAlgorithm::kWindow;
       cfg.stream = stream;
-      cfg.lane_width = batched.lane_width;
-      cfg.sigma = batched.sigma;
-      cfg.prefetch_distance = batched.prefetch_distance;
       selector = std::make_unique<kreg::SpmdGridSelector>(*device, cfg);
     } else if (method == "parallel") {
       selector = std::make_unique<kreg::ParallelSortedGridSelector>(kernel);
@@ -416,9 +360,6 @@ int main(int argc, char** argv) {
       kreg::SpmdSelectorConfig cfg;
       cfg.kernel = kernel;
       cfg.stream = stream;
-      cfg.lane_width = batched.lane_width;
-      cfg.sigma = batched.sigma;
-      cfg.prefetch_distance = batched.prefetch_distance;
       selector = std::make_unique<kreg::SpmdGridSelector>(*device, cfg);
     } else if (method == "optimizer") {
       kreg::CvOptimizerSelector::Config cfg;

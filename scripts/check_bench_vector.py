@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Perf smoke over BENCH_vector.json: batched must beat scalar.
+"""Perf smoke over BENCH_vector.json: the 8-lane batch must beat scalar.
 
-Fails (exit 1) if, at n = 10^5, the best batched Epanechnikov cell's
-elements/s falls below the scalar tiled sweep's — the regression this
-guards is the lane-batched gather kernels losing their vector margin
-(e.g. the σ ordering or the contiguous-run fast path silently breaking).
-Timing noise is absorbed by taking the *best* batched cell across lane
-widths and σ policies, so only a wholesale loss trips it.
+Fails (exit 1) if, at n = 10^5, the C = 8 Epanechnikov cell's elements/s
+falls below the scalar tiled sweep's on any design of X in the file — the
+regression this guards is the lane-batched gather kernel losing its vector
+margin (e.g. the contiguous-run fast path silently breaking).
 
 Usage: check_bench_vector.py [BENCH_vector.json]
 """
@@ -21,30 +19,31 @@ def main() -> int:
 
     n = 100_000
     kernel = "epanechnikov"
-    scalar = [
-        c for c in cells
-        if c["n"] == n and c["kernel"] == kernel and c["lane_width"] == 0
-    ]
-    batched = [
-        c for c in cells
-        if c["n"] == n and c["kernel"] == kernel and c["lane_width"] != 0
-    ]
-    if not scalar or not batched:
-        print(f"{path}: no n={n} {kernel} cells (scalar={len(scalar)}, "
-              f"batched={len(batched)})")
+    by_design = {}
+    for c in cells:
+        if c["n"] == n and c["kernel"] == kernel:
+            by_design.setdefault(c["design"], {})[c["lane_width"]] = c
+    if not by_design:
+        print(f"{path}: no n={n} {kernel} cells")
         return 1
 
-    scalar_eps = scalar[0]["elements_per_s"]
-    best = max(batched, key=lambda c: c["elements_per_s"])
-    best_eps = best["elements_per_s"]
-    ratio = best_eps / scalar_eps
-    print(f"scalar {kernel} n={n}: {scalar_eps:.3e} elem/s")
-    print(f"best batched: C={best['lane_width']} "
-          f"sigma={best['sigma_policy']} {best_eps:.3e} elem/s "
-          f"({ratio:.2f}x, contig_rate={best['contig_rate']:.2f})")
-    if best_eps < scalar_eps:
-        print("FAIL: batched Epanechnikov is slower than the scalar tiled "
-              "sweep")
+    failed = False
+    for design, lanes in sorted(by_design.items()):
+        if 0 not in lanes or 8 not in lanes:
+            print(f"{design} X: missing the scalar or the C=8 cell")
+            failed = True
+            continue
+        scalar_eps = lanes[0]["elements_per_s"]
+        batched = lanes[8]
+        ratio = batched["elements_per_s"] / scalar_eps
+        print(f"{design} X, {kernel} n={n}: scalar {scalar_eps:.3e} elem/s, "
+              f"C=8 {batched['elements_per_s']:.3e} elem/s ({ratio:.2f}x, "
+              f"contig_rate={batched['contig_rate']:.2f})")
+        if ratio < 1.0:
+            print(f"FAIL: C=8 {kernel} is slower than the scalar tiled "
+                  f"sweep on {design} X")
+            failed = True
+    if failed:
         return 1
     print("OK")
     return 0

@@ -1,7 +1,6 @@
 #include "core/batched_sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -13,85 +12,6 @@
 #include "sort/two_key.hpp"
 
 namespace kreg {
-
-const char* to_string(SigmaPolicy policy) {
-  switch (policy) {
-    case SigmaPolicy::kNone:
-      return "none";
-    case SigmaPolicy::kLength:
-      return "length";
-    case SigmaPolicy::kPositionLength:
-      return "position-length";
-  }
-  return "unknown";
-}
-
-SigmaPolicy parse_sigma_policy(std::string_view text) {
-  if (text == "none") {
-    return SigmaPolicy::kNone;
-  }
-  if (text == "length") {
-    return SigmaPolicy::kLength;
-  }
-  if (text == "position-length") {
-    return SigmaPolicy::kPositionLength;
-  }
-  throw std::invalid_argument(
-      "parse_sigma_policy: '" + std::string(text) +
-      "' is not a sigma policy (expected none, length, or position-length)");
-}
-
-std::size_t parse_prefetch_distance(std::string_view text) {
-  if (text.empty()) {
-    throw std::invalid_argument(
-        "parse_prefetch_distance: empty input (expected a base-10 step "
-        "count, 0 = off)");
-  }
-  std::size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "parse_prefetch_distance: '" + std::string(text) +
-          "' is not a non-negative base-10 step count (0 = off)");
-    }
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-    if (value > kMaxPrefetchDistance) {
-      throw std::invalid_argument(
-          "parse_prefetch_distance: '" + std::string(text) +
-          "' exceeds the maximum distance of " +
-          std::to_string(kMaxPrefetchDistance));
-    }
-  }
-  return value;
-}
-
-std::size_t resolve_prefetch_distance(std::size_t requested) {
-  if (requested == kPrefetchFromEnv) {
-    const char* env = std::getenv("KREG_PREFETCH_DIST");
-    if (env == nullptr || *env == '\0') {
-      return 0;
-    }
-    return parse_prefetch_distance(env);
-  }
-  if (requested > kMaxPrefetchDistance) {
-    throw std::invalid_argument(
-        "prefetch_distance must be at most " +
-        std::to_string(kMaxPrefetchDistance) + " (got " +
-        std::to_string(requested) + ")");
-  }
-  return requested;
-}
-
-std::size_t resolve_lane_width(std::size_t requested) {
-  if (requested == 0) {
-    return kDefaultLaneWidth;
-  }
-  if (requested == 1 || requested == 4 || requested == 8 || requested == 16) {
-    return requested;
-  }
-  throw std::invalid_argument("lane_width must be 0 (auto), 1, 4, 8, or 16 (got " +
-                              std::to_string(requested) + ")");
-}
 
 template <class Scalar>
 AdmissionWindows admission_windows(std::span<const Scalar> xs_sorted,
@@ -148,7 +68,7 @@ std::vector<std::uint32_t> sigma_batch_order(
   if (policy == SigmaPolicy::kNone || count == 0) {
     return order;
   }
-  if (policy == SigmaPolicy::kPositionLength && los.size() < end) {
+  if (los.size() < end) {
     throw std::invalid_argument(
         "sigma_batch_order: position-length policy needs window lo indices "
         "covering [begin, end)");
@@ -158,52 +78,33 @@ std::vector<std::uint32_t> sigma_batch_order(
   std::vector<std::uint32_t> scratch;
   for (std::size_t s0 = 0; s0 < count; s0 += step) {
     const std::size_t s1 = std::min(s0 + step, count);
-    if (policy == SigmaPolicy::kLength) {
-      // Stable and descending: equal-length rows keep ascending order, so
-      // the permutation is deterministic.
-      std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(s0),
-                       order.begin() + static_cast<std::ptrdiff_t>(s1),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return lengths[begin + a] > lengths[begin + b];
-                       });
-    } else {
-      // Two-key: position bucket ascending (gather locality), length
-      // descending inside a bucket (small padded tails), stable (rows
-      // equal under both keys keep ascending order — deterministic).
-      sort::two_key_argsort(
-          std::span<std::uint32_t>(order.data() + s0, s1 - s0),
-          [&](std::uint32_t r) { return los[begin + r] / bucket; },
-          [&](std::uint32_t r) { return lengths[begin + r]; }, scratch);
-    }
+    // Two-key: position bucket ascending, length descending inside a
+    // bucket, stable (rows equal under both keys keep ascending order —
+    // deterministic).
+    sort::two_key_argsort(
+        std::span<std::uint32_t>(order.data() + s0, s1 - s0),
+        [&](std::uint32_t r) { return los[begin + r] / bucket; },
+        [&](std::uint32_t r) { return lengths[begin + r]; }, scratch);
   }
   return order;
-}
-
-std::vector<std::uint32_t> sigma_batch_order(
-    std::span<const std::size_t> lengths, std::size_t begin, std::size_t end,
-    std::size_t scope, bool sigma_sort) {
-  return sigma_batch_order(
-      lengths, {}, begin, end, scope,
-      sigma_sort ? SigmaPolicy::kLength : SigmaPolicy::kNone, 1);
 }
 
 namespace {
 
 /// The batched mirror of window_sweep.cpp's profile_tiled: same tiling
 /// defaults, same tile-order combination, same per-tile ascending-row fold
-/// into the accumulator — only the per-row sweep is replaced by σ-sorted
-/// C-wide lane batches staging their residuals in a tile-local buffer.
-/// Because the fold visits buffered residuals in exactly the (row, b)
-/// order the scalar tiled kernel adds them, the profile is bitwise
-/// identical to the scalar one for any lane width, σ policy, and prefetch
-/// distance.
-template <class Scalar, std::size_t C>
+/// into the accumulator — only the per-row sweep is replaced by lane
+/// batches of kLaneWidth consecutive rows staging their residuals in a
+/// tile-local buffer. Because the fold visits buffered residuals in exactly
+/// the (row, b) order the scalar tiled kernel adds them, the profile is
+/// bitwise identical to the scalar one.
+template <class Scalar>
 std::vector<double> profile_batched(const data::Dataset& data,
                                     std::span<const double> grid,
-                                    KernelType kernel, SigmaPolicy sigma,
-                                    std::size_t prefetch, HostTiling tiling,
+                                    KernelType kernel, HostTiling tiling,
                                     parallel::ThreadPool* pool,
                                     BatchRunStats* stats) {
+  constexpr std::size_t C = kLaneWidth;
   const std::size_t n = data.size();
   const std::size_t k = grid.size();
   const SweepPolynomial poly = sweep_polynomial(kernel);
@@ -220,10 +121,6 @@ std::vector<double> profile_batched(const data::Dataset& data,
   const std::span<const Scalar> xs(sorted.x);
   const std::span<const Scalar> ys(sorted.y);
 
-  // σ keys: admission-window (lo, length) at h_max, shared by every tile.
-  const AdmissionWindows win =
-      admission_windows<Scalar>(xs, host_grid.back());
-
   const std::size_t tiles = (n + n_block - 1) / n_block;
   std::vector<std::vector<double>> partials(tiles,
                                             std::vector<double>(k, 0.0));
@@ -238,36 +135,32 @@ std::vector<double> profile_batched(const data::Dataset& data,
         BatchRunStats* tstats =
             stats != nullptr ? &tile_stats[tile] : nullptr;
 
-        // Batch membership: the tile is the σ-scope; consecutive C rows of
-        // the (possibly σ-sorted) order form one batch, the last padded.
-        const std::vector<std::uint32_t> order = sigma_batch_order(
-            win.length, win.lo, begin, begin + nb, nb, sigma,
-            sigma_position_bucket(sizeof(Scalar)));
+        // Consecutive C rows of the tile form one batch, the last padded.
         const std::size_t nbatches = (nb + C - 1) / C;
-        std::vector<detail::LaneBatch<Scalar, C>> batches(nbatches);
+        std::vector<detail::LaneBatch<Scalar>> batches(nbatches);
         for (std::size_t g = 0; g < nbatches; ++g) {
-          detail::LaneBatch<Scalar, C>& st = batches[g];
+          detail::LaneBatch<Scalar>& st = batches[g];
           st.lanes = std::min(C, nb - g * C);
           for (std::size_t l = 0; l < st.lanes; ++l) {
-            st.pos[l] = begin + order[g * C + l];
+            st.pos[l] = begin + g * C + l;
           }
           detail::batch_seed(st, xs, ys);
         }
 
-        // Residuals staged per (row, bandwidth-in-block) so the fold below
-        // can run in ascending row order regardless of batch order.
+        // Residuals staged per (row, bandwidth-in-block), then folded in
+        // ascending row order.
         std::vector<Scalar> buf(nb * k_block);
 
         for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
           const std::size_t kb = std::min(k_block, k - b0);
           const std::span<const Scalar> hs(host_grid.data() + b0, kb);
-          for (detail::LaneBatch<Scalar, C>& st : batches) {
+          for (detail::LaneBatch<Scalar>& st : batches) {
             detail::batch_resume(
                 st, xs, ys, hs, poly,
                 [&](std::size_t b, std::size_t l, Scalar sq) {
                   buf[(st.pos[l] - begin) * kb + b] = sq;
                 },
-                prefetch, tstats);
+                tstats);
           }
           for (std::size_t r = 0; r < nb; ++r) {
             for (std::size_t b = 0; b < kb; ++b) {
@@ -301,7 +194,6 @@ std::vector<double> window_cv_profile_batched(const data::Dataset& data,
                                               std::span<const double> grid,
                                               KernelType kernel,
                                               Precision precision,
-                                              BatchedSweep batched,
                                               HostTiling tiling,
                                               parallel::ThreadPool* pool,
                                               BatchRunStats* stats) {
@@ -315,29 +207,10 @@ std::vector<double> window_cv_profile_batched(const data::Dataset& data,
         std::string(to_string(kernel)) +
         "' is not supported by the window sweep; use the naive path");
   }
-  const std::size_t lane_width = resolve_lane_width(batched.lane_width);
-  const std::size_t prefetch =
-      resolve_prefetch_distance(batched.prefetch_distance);
-  if (lane_width == 4) {
-    // The C = 4 narrow batch loses to the scalar sweep on every measured
-    // host (ROADMAP: the transpose fast path cannot amortize 4-lane
-    // shuffles), so an explicit lane_width = 4 request takes the scalar
-    // tiled sweep. Bitwise identical by the batched == scalar parity
-    // contract; the rerouting is visible only in the stats ledger.
-    if (stats != nullptr) {
-      ++stats->scalar_routed;
-    }
-    return window_cv_profile_tiled(data, grid, kernel, precision, tiling,
-                                   pool);
-  }
-  return detail::with_lane_width(lane_width, [&](auto width) {
-    constexpr std::size_t C = decltype(width)::value;
-    return precision == Precision::kFloat
-               ? profile_batched<float, C>(data, grid, kernel, batched.sigma,
-                                           prefetch, tiling, pool, stats)
-               : profile_batched<double, C>(data, grid, kernel, batched.sigma,
-                                            prefetch, tiling, pool, stats);
-  });
+  return precision == Precision::kFloat
+             ? profile_batched<float>(data, grid, kernel, tiling, pool, stats)
+             : profile_batched<double>(data, grid, kernel, tiling, pool,
+                                       stats);
 }
 
 }  // namespace kreg

@@ -4,18 +4,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <type_traits>
 
 #include "core/batch_stats.hpp"
+#include "core/batched_sweep.hpp"
 #include "core/kernels.hpp"
 #include "core/detail/batched_lanes_contig.hpp"
 #include "core/detail/batched_lanes_avx512.hpp"
 
 namespace kreg::detail {
 
-/// SELL-C-σ-style batched execution of the window sweep.
+/// Batched execution of the window sweep over C = kLaneWidth observations.
 ///
 /// The scalar sweep (`window_sweep_resume`) interleaves three kinds of work
 /// per observation and bandwidth: the two-pointer walks (branchy, data
@@ -24,8 +22,7 @@ namespace kreg::detail {
 /// `LaneBatch` restructures that over C observations at once with
 /// structure-of-arrays state — `s_m[m][lane]`, `t_m[m][lane]` — so the
 /// accumulation and recombination become straight-line loops over the lane
-/// dimension that the compiler auto-vectorizes, exactly the way SELL-C-σ
-/// turns ragged sparse rows into C-wide vector strips:
+/// dimension that the compiler auto-vectorizes:
 ///
 ///   phase 1  per lane: advance lo/hi pointers, *recording* the admission
 ///            counts instead of accumulating (scalar, but cheap — two
@@ -42,10 +39,9 @@ namespace kreg::detail {
 ///            (h, 1/h and its powers) hoisted out — computed once per
 ///            batch instead of once per observation.
 ///
-/// σ-sorting batches by admission-window length (see core/batched_sweep.hpp)
-/// keeps the lanes of one batch doing similar numbers of phase-2 steps, so
-/// the zero-padded tail work stays small — and on the simulated device the
-/// same grouping is what keeps a warp's windows coherent.
+/// A batch holds C consecutive sorted observations. Their windows overlap
+/// and their phase-2 step counts are close, so the zero-padded tail work
+/// stays small and the contiguous-run fast path serves most steps.
 ///
 /// **Bitwise parity.** Each lane's floating-point operation sequence is
 /// exactly the scalar sweep's for that observation: admissions happen in
@@ -58,9 +54,9 @@ namespace kreg::detail {
 /// sum, i.e. a `-0.0` Y value). The caller controls the reduction order of
 /// the emitted residuals, so batched profiles reproduce the scalar
 /// profiles bit for bit under the same reduction discipline.
-template <class Scalar, std::size_t C>
+template <class Scalar>
 struct LaneBatch {
-  static constexpr std::size_t kWidth = C;
+  static constexpr std::size_t C = kLaneWidth;
   static constexpr std::size_t kTerms = SweepPolynomial::kMaxPower + 1;
 
   std::size_t lanes = 0;             ///< active lanes (≤ C; rest are padding)
@@ -117,10 +113,11 @@ struct LaneBatch {
 /// pointers collapsed onto pos, moment sums holding only the self term.
 /// `pos[l]` must be set for l < lanes before calling; padding lanes are
 /// zeroed so the lockstep loops read defined values.
-template <class Scalar, std::size_t C>
-inline void batch_seed(LaneBatch<Scalar, C>& st, std::span<const Scalar> xs,
+template <class Scalar>
+inline void batch_seed(LaneBatch<Scalar>& st, std::span<const Scalar> xs,
                        std::span<const Scalar> ys) {
-  for (std::size_t m = 0; m < LaneBatch<Scalar, C>::kTerms; ++m) {
+  constexpr std::size_t C = kLaneWidth;
+  for (std::size_t m = 0; m < LaneBatch<Scalar>::kTerms; ++m) {
     for (std::size_t l = 0; l < C; ++l) {
       st.s_m[m][l] = Scalar{};
       st.t_m[m][l] = Scalar{};
@@ -145,12 +142,13 @@ inline void batch_seed(LaneBatch<Scalar, C>& st, std::span<const Scalar> xs,
 /// arrays, indexed by `key(l)`) into the batch — the batched counterpart of
 /// the scalar kernels' "load the carried state into thread-local storage".
 /// `LoView`/`SmView` are any indexable views (raw spans, spmd::MemView).
-template <class Scalar, std::size_t C, class LoView, class SmView, class Key>
-inline void batch_load(LaneBatch<Scalar, C>& st, std::span<const Scalar> xs,
+template <class Scalar, class LoView, class SmView, class Key>
+inline void batch_load(LaneBatch<Scalar>& st, std::span<const Scalar> xs,
                        std::span<const Scalar> ys, LoView lo_all,
                        LoView hi_all, SmView sm_all, SmView tm_all,
                        std::size_t terms, Key&& key) {
-  for (std::size_t m = 0; m < LaneBatch<Scalar, C>::kTerms; ++m) {
+  constexpr std::size_t C = kLaneWidth;
+  for (std::size_t m = 0; m < LaneBatch<Scalar>::kTerms; ++m) {
     for (std::size_t l = 0; l < C; ++l) {
       st.s_m[m][l] = Scalar{};
       st.t_m[m][l] = Scalar{};
@@ -176,8 +174,8 @@ inline void batch_load(LaneBatch<Scalar, C>& st, std::span<const Scalar> xs,
 
 /// Stores the batch's window state back into the carry arrays; the inverse
 /// of batch_load, run after the batch finishes its grid slice.
-template <class Scalar, std::size_t C, class LoView, class SmView, class Key>
-inline void batch_store(const LaneBatch<Scalar, C>& st, LoView lo_all,
+template <class Scalar, class LoView, class SmView, class Key>
+inline void batch_store(const LaneBatch<Scalar>& st, LoView lo_all,
                         LoView hi_all, SmView sm_all, SmView tm_all,
                         std::size_t terms, Key&& key) {
   for (std::size_t l = 0; l < st.lanes; ++l) {
@@ -192,15 +190,14 @@ inline void batch_store(const LaneBatch<Scalar, C>& st, LoView lo_all,
 }
 
 /// The generic (auto-vectorized) lanes behind `batch_resume`; the only
-/// path on CPUs without AVX-512 and for C ∈ {1, 4}. Same contract as
-/// batch_resume.
-template <class Scalar, std::size_t C, class HView, class WriteResid>
-inline void batch_resume_generic(LaneBatch<Scalar, C>& st,
+/// path on CPUs without AVX-512. Same contract as batch_resume.
+template <class Scalar, class HView, class WriteResid>
+inline void batch_resume_generic(LaneBatch<Scalar>& st,
                                  std::span<const Scalar> xs_sorted,
                                  std::span<const Scalar> ys_sorted, HView hs,
                                  const SweepPolynomial& poly,
-                                 WriteResid&& write, std::size_t prefetch,
-                                 BatchRunStats* stats) {
+                                 WriteResid&& write, BatchRunStats* stats) {
+  constexpr std::size_t C = kLaneWidth;
   const std::size_t n = xs_sorted.size();
   const std::size_t k = hs.size();
   const std::size_t terms = poly.max_power + 1;
@@ -276,9 +273,6 @@ inline void batch_resume_generic(LaneBatch<Scalar, C>& st,
         stats->gather_steps += max_cnt - run.steps;
       }
       for (std::size_t s = 0; s < max_cnt; ++s) {
-        if (prefetch != 0 && run.any) {
-          prefetch_run_frontier(xs, ys, n, run, left, s + prefetch);
-        }
         if (s < run.steps) {
           contig_load_transpose<Scalar, C>(
               xs, ys,
@@ -336,56 +330,28 @@ inline void batch_resume_generic(LaneBatch<Scalar, C>& st,
 /// index b in ascending order. Per lane this performs bit-for-bit the
 /// operations of `window_sweep_resume` on that lane's observation.
 ///
-/// C ∈ {8, 16} runs the AVX-512 kernel (batched_lanes_avx512.hpp) when
-/// the CPU supports it, every other case the generic lanes; the two are
-/// bitwise identical, so the choice is invisible in the residuals.
+/// Runs the AVX-512 kernel (batched_lanes_avx512.hpp) when the CPU
+/// supports it, the generic lanes otherwise; the two are bitwise
+/// identical, so the choice is invisible in the residuals.
 ///
-/// `prefetch` (> 0) issues software prefetches for the admission lines
-/// `prefetch` steps ahead of the current one; `stats`, when non-null,
-/// counts the phase-2 steps served by the contiguous-run transpose fast
-/// path versus per-lane gathers (see batched_lanes_contig.hpp). Both are
-/// observational: values and profiles are bitwise identical for every
-/// setting.
-template <class Scalar, std::size_t C, class HView, class WriteResid>
-inline void batch_resume(LaneBatch<Scalar, C>& st,
+/// `stats`, when non-null, counts the phase-2 steps served by the
+/// contiguous-run transpose fast path versus per-lane gathers (see
+/// batched_lanes_contig.hpp). It only observes: values and profiles are
+/// bitwise identical with or without it.
+template <class Scalar, class HView, class WriteResid>
+inline void batch_resume(LaneBatch<Scalar>& st,
                          std::span<const Scalar> xs_sorted,
                          std::span<const Scalar> ys_sorted, HView hs,
                          const SweepPolynomial& poly, WriteResid&& write,
-                         std::size_t prefetch = 0,
                          BatchRunStats* stats = nullptr) {
 #if KREG_HAVE_BATCHED_AVX512
-  if constexpr (C == 8 || C == 16) {
-    if (avx512_lanes_available() &&
-        batch_resume_avx512(st, xs_sorted, ys_sorted, hs, poly, write,
-                            prefetch, stats)) {
-      return;
-    }
+  if (avx512_lanes_available() &&
+      batch_resume_avx512(st, xs_sorted, ys_sorted, hs, poly, write,
+                          stats)) {
+    return;
   }
 #endif
-  batch_resume_generic(st, xs_sorted, ys_sorted, hs, poly, write, prefetch,
-                       stats);
-}
-
-/// Dispatches a runtime lane width onto the compile-time LaneBatch
-/// instantiations: f receives std::integral_constant<std::size_t, C>.
-/// Supported widths are 1 (degenerate single-lane batch, the parity
-/// anchor) and the vector-friendly 4 / 8 / 16.
-template <class F>
-decltype(auto) with_lane_width(std::size_t lane_width, F&& f) {
-  switch (lane_width) {
-    case 1:
-      return f(std::integral_constant<std::size_t, 1>{});
-    case 4:
-      return f(std::integral_constant<std::size_t, 4>{});
-    case 8:
-      return f(std::integral_constant<std::size_t, 8>{});
-    case 16:
-      return f(std::integral_constant<std::size_t, 16>{});
-    default:
-      throw std::invalid_argument(
-          "lane_width must be 1, 4, 8, or 16 (got " +
-          std::to_string(lane_width) + ")");
-  }
+  batch_resume_generic(st, xs_sorted, ys_sorted, hs, poly, write, stats);
 }
 
 }  // namespace kreg::detail

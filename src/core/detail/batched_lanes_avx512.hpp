@@ -2,12 +2,12 @@
 
 // AVX-512 kernel for the batched window sweep (see batched_lanes.hpp),
 // compiled into every x86-64 GCC/Clang build and chosen at run time:
-// `batch_resume` calls it for C ∈ {8, 16} when the CPU has AVX-512F/DQ/VL
+// `batch_resume` calls it when the CPU has AVX-512F/DQ/VL
 // (avx512_lanes_available), and runs the generic lanes otherwise. Only the
 // functions marked KREG_AVX512_TARGET contain AVX-512 code, so the rest of
 // the build stays baseline x86-64. One kernel body serves both precisions
-// through the per-precision `Avx512Lanes` traits: an 8-lane group is one
-// __m512d for double and one __m256 (AVX-512VL masks) for float. The two
+// through the per-precision `Avx512Lanes` traits: the batch's 8 lanes are
+// one __m512d for double and one __m256 (AVX-512VL masks) for float. The two
 // paths produce bit-identical profiles because each lane executes the
 // scalar sweep's exact floating-point operation sequence:
 //
@@ -22,8 +22,8 @@
 //   - masked hardware gathers (vgatherqpd / vgatherqps) feed exact zeros
 //     into lanes that ran out of admissions, the same ±0.0-padding
 //     discipline the generic path uses;
-//   - contiguous runs — all of a group's step-0 bases inside one
-//     16-element window, the common case under the σ position-sort — swap
+//   - contiguous runs — all of the batch's step-0 bases inside one
+//     16-element window, the common case for consecutive observations — swap
 //     the gather for two block loads + a masked two-register permute
 //     (vpermt2pd / vpermt2ps) selecting the very same elements with the
 //     very same masked zeros, so consumed values are unchanged bit for
@@ -36,13 +36,10 @@
 //     -ffp-contract=off (root CMakeLists.txt); under -ffp-contract=fast,
 //     GCC contracts or not per call site, so no intrinsic choice could
 //     match every inlined copy of the scalar sweep at once;
-//   - a group's moment sums live in registers for a whole admission run,
-//     one register per term, instead of round-tripping through memory
-//     every step;
+//   - the batch's moment sums live in registers for a whole admission
+//     run, one register per term, instead of round-tripping through
+//     memory every step;
 //   - phase 3 is the generic path's own `LaneBatch::recombine`.
-//
-// Lane widths map onto V = C/8 register groups, each running its own step
-// loops: C = 8 is one group, C = 16 two.
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define KREG_HAVE_BATCHED_AVX512 1
@@ -62,6 +59,7 @@
 #include <span>
 
 #include "core/batch_stats.hpp"
+#include "core/batched_sweep.hpp"
 #include "core/kernels.hpp"
 #include "core/detail/batched_lanes_contig.hpp"
 
@@ -70,8 +68,11 @@
 
 namespace kreg::detail {
 
-template <class Scalar, std::size_t C>
+template <class Scalar>
 struct LaneBatch;
+
+static_assert(kLaneWidth == 8,
+              "the AVX-512 kernel holds one batch in one 8-lane register");
 
 /// The first CPU feature the AVX-512 lane kernel needs that this machine
 /// lacks (the CPU, or an OS that does not save the zmm state), or nullptr
@@ -97,7 +98,7 @@ inline bool avx512_lanes_available() {
   return available;
 }
 
-/// Per-precision vector operations on one 8-lane group. `Perm` is the
+/// Per-precision vector operations on the batch's 8 lanes. `Perm` is the
 /// index type of the two-register permute over a 16-element block.
 template <class Scalar>
 struct Avx512Lanes;
@@ -269,7 +270,7 @@ KREG_AVX512_TARGET inline std::size_t walk_hi_avx512(Scalar x,
   return hi;
 }
 
-/// One admission step of an 8-lane group: the scalar sweep's m-loop
+/// One admission step of the batch: the scalar sweep's m-loop
 /// (`s_m += pw; t_m += y·pw; pw *= d`) on the elements (xv, yv) in every
 /// active lane, exact zeros (pw = +0.0) in the others.
 template <class Scalar, std::size_t T>
@@ -289,17 +290,16 @@ KREG_AVX512_TARGET inline void admit_group(
   }
 }
 
-/// Compile-time-terms AVX-512 resume for LaneBatch<Scalar, 8·V>.
+/// Compile-time-terms AVX-512 resume for LaneBatch<Scalar>.
 /// Bit-for-bit the operations of `window_sweep_resume` per lane.
-template <class Scalar, std::size_t T, std::size_t V, class HView,
-          class WriteResid>
+template <class Scalar, std::size_t T, class HView, class WriteResid>
 KREG_AVX512_TARGET void batch_resume_avx512_impl(
-    LaneBatch<Scalar, 8 * V>& st, std::span<const Scalar> xs_sorted,
+    LaneBatch<Scalar>& st, std::span<const Scalar> xs_sorted,
     std::span<const Scalar> ys_sorted, HView hs, const SweepPolynomial& poly,
-    WriteResid&& write, std::size_t prefetch, BatchRunStats* stats) {
+    WriteResid&& write, BatchRunStats* stats) {
   using Ops = Avx512Lanes<Scalar>;
   using Vec = typename Ops::Vec;
-  constexpr std::size_t C = 8 * V;
+  constexpr std::size_t C = kLaneWidth;
   const std::size_t n = xs_sorted.size();
   const std::size_t k = hs.size();
   const Scalar* xs = xs_sorted.data();
@@ -324,100 +324,84 @@ KREG_AVX512_TARGET void batch_resume_avx512_impl(
     }
 
     // Phase 2: left run (descending from the old lo − 1), then right run
-    // (ascending from the old hi + 1) — the scalar admission order. Each
-    // 8-lane group runs its own step loop so the contiguous-run detection
-    // (batched_lanes_contig.hpp) applies per group: the bases are fixed
-    // for the whole run, so when the group's active bases fit one
-    // 16-element window the per-step masked gather becomes two block
-    // loads + one masked two-register permute — the same elements and the
-    // same masked zeros, so bitwise-identical values — and the remaining
-    // (bounds-clipped) steps fall back to the gather.
+    // (ascending from the old hi + 1) — the scalar admission order. The
+    // bases are fixed for the whole run, so when the active bases fit one
+    // 16-element window (batched_lanes_contig.hpp) the per-step masked
+    // gather becomes two block loads + one masked two-register permute —
+    // the same elements and the same masked zeros, so bitwise-identical
+    // values — and the remaining (bounds-clipped) steps fall back to the
+    // gather.
     for (int phase = 0; phase < 2; ++phase) {
       const bool left = phase == 0;
-      for (std::size_t l = 0; l < st.lanes; ++l) {
-        if (left) {
-          cnt[l] = static_cast<std::int64_t>(st.lo[l] - lo_new[l]);
-          base[l] = static_cast<std::int64_t>(st.lo[l]) - 1;
+      std::size_t max_cnt = 0;
+      for (std::size_t l = 0; l < C; ++l) {
+        if (l < st.lanes) {
+          cnt[l] = left ? static_cast<std::int64_t>(st.lo[l] - lo_new[l])
+                        : static_cast<std::int64_t>(hi_new[l] - st.hi[l]);
+          base[l] = left ? static_cast<std::int64_t>(st.lo[l]) - 1
+                         : static_cast<std::int64_t>(st.hi[l]) + 1;
         } else {
-          cnt[l] = static_cast<std::int64_t>(hi_new[l] - st.hi[l]);
-          base[l] = static_cast<std::int64_t>(st.hi[l]) + 1;
+          cnt[l] = 0;
+          base[l] = 0;
         }
+        const auto c = static_cast<std::size_t>(cnt[l]);
+        max_cnt = c > max_cnt ? c : max_cnt;
       }
-      for (std::size_t l = st.lanes; l < C; ++l) {
-        cnt[l] = 0;
-        base[l] = 0;
+      if (max_cnt == 0) {
+        continue;
       }
-      for (std::size_t v = 0; v < V; ++v) {
-        std::size_t gmax = 0;
-        for (std::size_t l = 8 * v; l < 8 * v + 8; ++l) {
-          const auto c = static_cast<std::size_t>(cnt[l]);
-          gmax = c > gmax ? c : gmax;
+      const ContigRun run = detect_contig_run(cnt, base, C, max_cnt, n, left);
+      typename Ops::Perm perm = Ops::perm_index(_mm512_setzero_si512());
+      if (run.steps != 0) {
+        alignas(64) std::int64_t offsets[C];
+        for (std::size_t l = 0; l < C; ++l) {
+          offsets[l] = cnt[l] > 0 ? base[l] - run.min_base : 0;
         }
-        if (gmax == 0) {
-          continue;
-        }
-        const ContigRun run =
-            detect_contig_run(cnt + 8 * v, base + 8 * v, 8, gmax, n, left);
-        typename Ops::Perm perm = Ops::perm_index(_mm512_setzero_si512());
-        if (run.steps != 0) {
-          alignas(64) std::int64_t offsets[8];
-          for (std::size_t l = 0; l < 8; ++l) {
-            offsets[l] =
-                cnt[8 * v + l] > 0 ? base[8 * v + l] - run.min_base : 0;
-          }
-          perm = Ops::perm_index(_mm512_load_si512(offsets));
-        }
-        if (stats != nullptr) {
-          stats->contig_steps += run.steps;
-          stats->gather_steps += gmax - run.steps;
-        }
-        // The step counters are 32-bit lanes in a ymm, so the float steps
-        // run without zmm uops (which would close a vector port while in
-        // flight); batch_resume_avx512 keeps n, and so every count, below
-        // 2^31.
-        const __m256i vcnt = _mm512_maskz_cvtepi64_epi32(
-            0xff, _mm512_load_si512(cnt + 8 * v));
-        const __m512i vbase = _mm512_load_si512(base + 8 * v);
-        __m256i vs = _mm256_setzero_si256();
-        // The group's moment sums stay in registers for the whole run.
-        const Vec xi = Ops::load(st.xi.data() + 8 * v);
-        Vec sm[T], tm[T];
-        for (std::size_t m = 0; m < T; ++m) {
-          sm[m] = Ops::load(st.s_m[m] + 8 * v);
-          tm[m] = Ops::load(st.t_m[m] + 8 * v);
-        }
-        // Contiguous steps first, then the gathers; step s reads element
-        // base ∓ s of each active lane.
-        const std::int64_t dir = left ? -1 : 1;
-        std::size_t s = 0;
-        for (; s < run.steps; ++s) {
-          const __mmask8 act = _mm256_cmpgt_epi32_mask(vcnt, vs);
-          vs = _mm256_add_epi32(vs, one);
-          if (prefetch != 0) {
-            prefetch_run_frontier(xs, ys, n, run, left, s + prefetch);
-          }
-          const std::int64_t blk =
-              run.min_base + dir * static_cast<std::int64_t>(s);
-          admit_group<Scalar, T>(sm, tm, xi,
-                                 Ops::permute_block(act, xs + blk, perm),
-                                 Ops::permute_block(act, ys + blk, perm),
-                                 act);
-        }
-        for (; s < gmax; ++s) {
-          const __mmask8 act = _mm256_cmpgt_epi32_mask(vcnt, vs);
-          vs = _mm256_add_epi32(vs, one);
-          if (prefetch != 0) {
-            prefetch_run_frontier(xs, ys, n, run, left, s + prefetch);
-          }
-          const __m512i idx = _mm512_add_epi64(
-              vbase, _mm512_set1_epi64(dir * static_cast<std::int64_t>(s)));
-          admit_group<Scalar, T>(sm, tm, xi, Ops::gather(act, idx, xs),
-                                 Ops::gather(act, idx, ys), act);
-        }
-        for (std::size_t m = 0; m < T; ++m) {
-          Ops::store(st.s_m[m] + 8 * v, sm[m]);
-          Ops::store(st.t_m[m] + 8 * v, tm[m]);
-        }
+        perm = Ops::perm_index(_mm512_load_si512(offsets));
+      }
+      if (stats != nullptr) {
+        stats->contig_steps += run.steps;
+        stats->gather_steps += max_cnt - run.steps;
+      }
+      // The step counters are 32-bit lanes in a ymm, so the float steps
+      // run without zmm uops (which would close a vector port while in
+      // flight); batch_resume_avx512 keeps n, and so every count, below
+      // 2^31.
+      const __m256i vcnt =
+          _mm512_maskz_cvtepi64_epi32(0xff, _mm512_load_si512(cnt));
+      const __m512i vbase = _mm512_load_si512(base);
+      __m256i vs = _mm256_setzero_si256();
+      // The moment sums stay in registers for the whole run.
+      const Vec xi = Ops::load(st.xi.data());
+      Vec sm[T], tm[T];
+      for (std::size_t m = 0; m < T; ++m) {
+        sm[m] = Ops::load(st.s_m[m]);
+        tm[m] = Ops::load(st.t_m[m]);
+      }
+      // Contiguous steps first, then the gathers; step s reads element
+      // base ∓ s of each active lane.
+      const std::int64_t dir = left ? -1 : 1;
+      std::size_t s = 0;
+      for (; s < run.steps; ++s) {
+        const __mmask8 act = _mm256_cmpgt_epi32_mask(vcnt, vs);
+        vs = _mm256_add_epi32(vs, one);
+        const std::int64_t blk =
+            run.min_base + dir * static_cast<std::int64_t>(s);
+        admit_group<Scalar, T>(sm, tm, xi,
+                               Ops::permute_block(act, xs + blk, perm),
+                               Ops::permute_block(act, ys + blk, perm), act);
+      }
+      for (; s < max_cnt; ++s) {
+        const __mmask8 act = _mm256_cmpgt_epi32_mask(vcnt, vs);
+        vs = _mm256_add_epi32(vs, one);
+        const __m512i idx = _mm512_add_epi64(
+            vbase, _mm512_set1_epi64(dir * static_cast<std::int64_t>(s)));
+        admit_group<Scalar, T>(sm, tm, xi, Ops::gather(act, idx, xs),
+                               Ops::gather(act, idx, ys), act);
+      }
+      for (std::size_t m = 0; m < T; ++m) {
+        Ops::store(st.s_m[m], sm[m]);
+        Ops::store(st.t_m[m], tm[m]);
       }
     }
     for (std::size_t l = 0; l < st.lanes; ++l) {
@@ -438,39 +422,36 @@ KREG_AVX512_TARGET void batch_resume_avx512_impl(
 /// sweepable kernel has (1, 2, 3, 5 and 7 are instantiated) and for
 /// n ≥ 2^31, beyond the kernel's 32-bit step counters.
 /// Requires avx512_lanes_available().
-template <class Scalar, std::size_t C, class HView, class WriteResid>
-inline bool batch_resume_avx512(LaneBatch<Scalar, C>& st,
+template <class Scalar, class HView, class WriteResid>
+inline bool batch_resume_avx512(LaneBatch<Scalar>& st,
                                 std::span<const Scalar> xs_sorted,
                                 std::span<const Scalar> ys_sorted, HView hs,
                                 const SweepPolynomial& poly,
-                                WriteResid&& write, std::size_t prefetch,
-                                BatchRunStats* stats) {
-  static_assert(C % 8 == 0);
-  constexpr std::size_t V = C / 8;
+                                WriteResid&& write, BatchRunStats* stats) {
   if (xs_sorted.size() >
       static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
     return false;
   }
   switch (poly.max_power + 1) {
     case 1:
-      batch_resume_avx512_impl<Scalar, 1, V>(st, xs_sorted, ys_sorted, hs,
-                                             poly, write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 1>(st, xs_sorted, ys_sorted, hs, poly,
+                                          write, stats);
       return true;
     case 2:
-      batch_resume_avx512_impl<Scalar, 2, V>(st, xs_sorted, ys_sorted, hs,
-                                             poly, write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 2>(st, xs_sorted, ys_sorted, hs, poly,
+                                          write, stats);
       return true;
     case 3:
-      batch_resume_avx512_impl<Scalar, 3, V>(st, xs_sorted, ys_sorted, hs,
-                                             poly, write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 3>(st, xs_sorted, ys_sorted, hs, poly,
+                                          write, stats);
       return true;
     case 5:
-      batch_resume_avx512_impl<Scalar, 5, V>(st, xs_sorted, ys_sorted, hs,
-                                             poly, write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 5>(st, xs_sorted, ys_sorted, hs, poly,
+                                          write, stats);
       return true;
     case 7:
-      batch_resume_avx512_impl<Scalar, 7, V>(st, xs_sorted, ys_sorted, hs,
-                                             poly, write, prefetch, stats);
+      batch_resume_avx512_impl<Scalar, 7>(st, xs_sorted, ys_sorted, hs, poly,
+                                          write, stats);
       return true;
     default:
       return false;

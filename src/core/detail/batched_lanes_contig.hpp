@@ -15,10 +15,9 @@
 // in-register transpose with **bit-identical** results, because the
 // transposed element xs[(min_base ∓ s) + (base_l − min_base)] is exactly
 // the gathered element xs[base_l ∓ s], and inactive lanes are zeroed by
-// the same mask either way. The σ position-sort (core/batched_sweep.hpp,
-// SigmaPolicy::kPositionLength) exists to make this span small: lanes
-// grouped by window position have nearby bases, so the run detector fires
-// on most batches instead of almost never.
+// the same mask either way. A batch holds consecutive sorted observations,
+// whose windows start and end close together, so the span is small and
+// the run detector fires on most batches.
 //
 // Detection runs once per phase, not per step; the only per-step concern
 // is staying inside [0, n) for the full-width block read, handled by
@@ -89,29 +88,6 @@ inline ContigRun detect_contig_run(const std::int64_t* cnt,
   const auto safe_steps = static_cast<std::size_t>(safe);
   run.steps = max_cnt < safe_steps ? max_cnt : safe_steps;
   return run;
-}
-
-/// Software prefetch for one step of a run: the run's extreme bases slide
-/// linearly with the step, so the frontier `ahead` steps on is the two
-/// endpoint lines, prefetched in xs and ys when inside [0, n). Prefetches
-/// change no architectural state, so values are bitwise identical for any
-/// distance. Requires run.any.
-template <class Scalar>
-inline void prefetch_run_frontier(const Scalar* xs, const Scalar* ys,
-                                  std::size_t n, const ContigRun& run,
-                                  bool left, std::size_t ahead) {
-  const auto d = static_cast<std::int64_t>(ahead);
-  const auto ni = static_cast<std::int64_t>(n);
-  const std::int64_t pmin = left ? run.min_base - d : run.min_base + d;
-  const std::int64_t pmax = left ? run.max_base - d : run.max_base + d;
-  if (pmin >= 0 && pmin < ni) {
-    __builtin_prefetch(xs + pmin);
-    __builtin_prefetch(ys + pmin);
-  }
-  if (pmax != pmin && pmax >= 0 && pmax < ni) {
-    __builtin_prefetch(xs + pmax);
-    __builtin_prefetch(ys + pmax);
-  }
 }
 
 /// One contiguous-run transpose step for the generic (auto-vectorized)

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batched_sweep.hpp"
 #include "core/selectors.hpp"
 #include "core/streaming.hpp"
 #include "core/window_sweep.hpp"
@@ -29,7 +28,7 @@ enum class JobBackend {
   /// tile order with fixed auto tile sizes, so the profile is identical
   /// for every pool size — including 1.
   kHostTiled,
-  /// The SPMD device sweep, with streaming/batching knobs honored.
+  /// The SPMD device sweep, with the streaming knobs honored.
   kDevice,
 };
 std::string_view to_string(JobBackend backend) noexcept;
@@ -58,7 +57,7 @@ struct SelectionJob {
   /// Ignored for the bandwidth estimators.
   std::vector<std::size_t> neighbor_grid;
   JobBackend backend = JobBackend::kDevice;
-  /// Streaming/batching knobs for the device backend. The scheduler may
+  /// Streaming knobs for the device backend. The scheduler may
   /// tighten memory_budget_bytes to the job's admission share; every plan
   /// the budget induces is bitwise identical, so the tightening is
   /// invisible in the profile.
@@ -66,9 +65,6 @@ struct SelectionJob {
   /// Host tiling for kHostTiled (0 = auto; auto sizes are fixed
   /// constants, not pool-derived, so the default stays deterministic).
   HostTiling tiling;
-  /// Device lane batching (NW only): 0 = auto, 1 scalar, 4/8/16 batched.
-  std::size_t lane_width = 0;
-  SigmaPolicy sigma = SigmaPolicy::kPositionLength;
 
   /// Grid length for this job's estimator.
   std::size_t grid_size() const noexcept {

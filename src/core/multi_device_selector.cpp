@@ -1,13 +1,11 @@
 #include "core/multi_device_selector.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
-#include "core/batched_sweep.hpp"
-#include "core/detail/batched_lanes.hpp"
 #include "core/detail/device_sweep.hpp"
 #include "core/detail/lane_reduce.hpp"
+#include "core/detail/window_pass.hpp"
 #include "core/window_sweep.hpp"
 #include "parallel/blocked_range.hpp"
 #include "spmd/reduce.hpp"
@@ -25,9 +23,7 @@ MultiDeviceGridSelector::MultiDeviceGridSelector(
       throw std::invalid_argument("MultiDeviceGridSelector: null device");
     }
   }
-  (void)resolve_lane_width(config_.lane_width);  // reject bad widths early
-  config_.prefetch_distance =
-      resolve_prefetch_distance(config_.prefetch_distance);
+  validate_lane_width(config_.lane_width);
 }
 
 std::size_t MultiDeviceGridSelector::estimated_bytes_per_device(
@@ -111,13 +107,6 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
     const std::span<const Scalar> xs_host(host_x);
     const std::span<const Scalar> ys_host(host_y);
     const Scalar reach = host_grid.back();  // widest admission: h_max
-    // Lane batching: the σ-sort key is a global property of the sorted
-    // array, so one pass serves every device's slice.
-    const std::size_t lane_width = resolve_lane_width(config.lane_width);
-    AdmissionWindows win;
-    if (lane_width > 1) {
-      win = admission_windows<Scalar>(xs_host, reach);
-    }
     for (std::size_t d = 0; d < slices.size(); ++d) {
       spmd::Device& device = *devices[d];
       const parallel::BlockedRange slice = slices[d];
@@ -189,22 +178,8 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
 
           std::span<const Scalar> xs = d_x.span();
           std::span<const Scalar> ys = d_y.span();
-          spmd::MemView<std::size_t> lo_all = d_lo.view();
-          spmd::MemView<std::size_t> hi_all = d_hi.view();
-          spmd::MemView<Scalar> sm_all = d_sm.view();
-          spmd::MemView<Scalar> tm_all = d_tm.view();
           spmd::MemView<Scalar> resid_all = d_resid.view();
-
-          const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(nb, tpb);
           const std::size_t rel0 = base + n0 - slab_begin;
-
-          std::vector<std::uint32_t> tile_order;
-          if (lane_width > 1) {
-            tile_order = sigma_batch_order(
-                win.length, win.lo, base + n0, base + n0 + nb, tpb,
-                config.sigma, sigma_position_bucket(sizeof(Scalar)));
-          }
-          const std::span<const std::uint32_t> order_s(tile_order);
 
           for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
             const std::size_t kb = std::min(plan.k_block, k - b0);
@@ -213,91 +188,18 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
             spmd::ConstantBuffer<Scalar> c_block =
                 device.upload_constant<Scalar>(host_block,
                                                "bandwidth-grid-block");
-            spmd::MemView<const Scalar> hs = c_block.view();
-            const bool first = b0 == 0;
-
-            if (lane_width > 1) {
-              // Batched fast path over slab-relative positions; carry and
-              // residuals keyed by the observation's tile-relative index,
-              // so the σ permutation never changes what any cell holds.
-              detail::with_lane_width(lane_width, [&](auto width_c) {
-                constexpr std::size_t C = decltype(width_c)::value;
-                device.launch_lanes("cv_sweep_slice_tile", cfg, C,
-                                    [&, nb, first, rel0](
-                                        const spmd::LaneCtx& t) {
-                  detail::LaneBatch<Scalar, C> st;
-                  st.lanes = 0;
-                  for (std::size_t l = 0; l < t.lanes; ++l) {
-                    const std::size_t r = t.global_base() + l;
-                    if (r < nb) {
-                      st.pos[st.lanes++] = rel0 + order_s[r];
-                    }
-                  }
-                  if (st.lanes == 0) {
-                    return;
-                  }
-                  const auto key = [&st, rel0](std::size_t l) {
-                    return st.pos[l] - rel0;
-                  };
-                  if (first) {
-                    detail::batch_seed(st, xs, ys);
-                  } else {
-                    detail::batch_load(st, xs, ys, lo_all, hi_all, sm_all,
-                                       tm_all, terms, key);
-                  }
-                  detail::batch_resume(
-                      st, xs, ys, hs, poly,
-                      [&](std::size_t b, std::size_t l, Scalar sq) {
-                        const std::size_t q = st.pos[l] - rel0;
-                        resid_all[b * nb + q] = sq;
-                      },
-                      config.prefetch_distance);
-                  detail::batch_store(st, lo_all, hi_all, sm_all, tm_all,
-                                      terms, key);
+            // Slab-relative positions: the halo guarantees the slab never
+            // truncates an admission, so the slab-edge guards decide
+            // exactly as the resident full-array guards.
+            const detail::WindowCarry<Scalar> carry{d_lo.view(), d_hi.view(),
+                                                    d_sm.view(), d_tm.view(),
+                                                    b0 == 0};
+            detail::launch_window_pass<Scalar>(
+                device, "cv_sweep_slice_tile", config.lane_width, tpb, xs,
+                ys, rel0, nb, c_block.view(), poly, &carry,
+                [&, nb](std::size_t b, std::size_t r, Scalar sq) {
+                  resid_all[b * nb + r] = sq;
                 });
-              });
-            } else {
-              device.launch("cv_sweep_slice_tile", cfg,
-                            [&, nb, kb, first, rel0](const spmd::ThreadCtx& t) {
-                const std::size_t r = t.global_idx();
-                if (r >= nb) {
-                  return;
-                }
-                // Slab-relative position: the halo guarantees the slab
-                // never truncates an admission, so the slab-edge guards
-                // decide exactly as the resident full-array guards.
-                const std::size_t pos = rel0 + r;
-                Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-                Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-                std::size_t lo = 0;
-                std::size_t hi = 0;
-                if (first) {
-                  detail::window_sweep_seed<Scalar>(
-                      ys, pos, lo, hi, std::span<Scalar>(s_m, terms),
-                      std::span<Scalar>(t_m, terms));
-                } else {
-                  lo = lo_all[r];
-                  hi = hi_all[r];
-                  for (std::size_t m = 0; m < terms; ++m) {
-                    s_m[m] = sm_all[r * terms + m];
-                    t_m[m] = tm_all[r * terms + m];
-                  }
-                }
-                detail::window_sweep_resume<Scalar>(
-                    xs, ys, hs, poly, pos, lo, hi,
-                    std::span<Scalar>(s_m, terms),
-                    std::span<Scalar>(t_m, terms),
-                    [&](std::size_t b, Scalar sq) {
-                      resid_all[b * nb + r] = sq;
-                    });
-                lo_all[r] = lo;
-                hi_all[r] = hi;
-                for (std::size_t m = 0; m < terms; ++m) {
-                  sm_all[r * terms + m] = s_m[m];
-                  tm_all[r * terms + m] = t_m[m];
-                }
-              });
-            }
 
             // Phase 1 of the per-device resident reduction, continued
             // across n-blocks (slice-local rows).
@@ -338,22 +240,8 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
 
       std::span<const Scalar> xs = d_x.span();
       std::span<const Scalar> ys = d_y.span();
-      spmd::MemView<std::size_t> lo_all = d_lo.view();
-      spmd::MemView<std::size_t> hi_all = d_hi.view();
-      spmd::MemView<Scalar> sm_all = d_sm.view();
-      spmd::MemView<Scalar> tm_all = d_tm.view();
       spmd::MemView<Scalar> resid_all = d_resid.view();
-
-      const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(rows, tpb);
       std::vector<Scalar> totals(plan.k_block);
-
-      std::vector<std::uint32_t> slice_order;
-      if (lane_width > 1) {
-        slice_order = sigma_batch_order(
-            win.length, win.lo, base, base + rows, tpb, config.sigma,
-            sigma_position_bucket(sizeof(Scalar)));
-      }
-      const std::span<const std::uint32_t> order_s(slice_order);
 
       for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
         const std::size_t kb = std::min(plan.k_block, k - b0);
@@ -361,86 +249,15 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
                                              host_grid.begin() + b0 + kb);
         spmd::ConstantBuffer<Scalar> c_block = device.upload_constant<Scalar>(
             host_block, "bandwidth-grid-block");
-        spmd::MemView<const Scalar> hs = c_block.view();
-        const bool first = b0 == 0;
-
-        if (lane_width > 1) {
-          // Batched fast path: carry and residuals keyed by the
-          // observation's slice-relative index, so the σ permutation never
-          // changes what any cell holds.
-          detail::with_lane_width(lane_width, [&](auto width_c) {
-            constexpr std::size_t C = decltype(width_c)::value;
-            device.launch_lanes("cv_sweep_slice_kblock", cfg, C,
-                                [&, base, rows, first](
-                                    const spmd::LaneCtx& t) {
-              detail::LaneBatch<Scalar, C> st;
-              st.lanes = 0;
-              for (std::size_t l = 0; l < t.lanes; ++l) {
-                const std::size_t r = t.global_base() + l;
-                if (r < rows) {
-                  st.pos[st.lanes++] = base + order_s[r];
-                }
-              }
-              if (st.lanes == 0) {
-                return;
-              }
-              const auto key = [&st, base](std::size_t l) {
-                return st.pos[l] - base;
-              };
-              if (first) {
-                detail::batch_seed(st, xs, ys);
-              } else {
-                detail::batch_load(st, xs, ys, lo_all, hi_all, sm_all, tm_all,
-                                   terms, key);
-              }
-              detail::batch_resume(
-                  st, xs, ys, hs, poly,
-                  [&](std::size_t b, std::size_t l, Scalar sq) {
-                    const std::size_t q = st.pos[l] - base;
-                    resid_all[b * rows + q] = sq;
-                  },
-                  config.prefetch_distance);
-              detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms,
-                                  key);
+        const detail::WindowCarry<Scalar> carry{d_lo.view(), d_hi.view(),
+                                                d_sm.view(), d_tm.view(),
+                                                b0 == 0};
+        detail::launch_window_pass<Scalar>(
+            device, "cv_sweep_slice_kblock", config.lane_width, tpb, xs, ys,
+            base, rows, c_block.view(), poly, &carry,
+            [&, rows](std::size_t b, std::size_t r, Scalar sq) {
+              resid_all[b * rows + r] = sq;
             });
-          });
-        } else {
-          device.launch("cv_sweep_slice_kblock", cfg,
-                        [&, base, rows, kb, first](const spmd::ThreadCtx& t) {
-            const std::size_t r = t.global_idx();
-            if (r >= rows) {
-              return;
-            }
-            const std::size_t pos = base + r;
-            Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-            Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-            std::size_t lo = 0;
-            std::size_t hi = 0;
-            if (first) {
-              detail::window_sweep_seed<Scalar>(ys, pos, lo, hi,
-                                                std::span<Scalar>(s_m, terms),
-                                                std::span<Scalar>(t_m, terms));
-            } else {
-              lo = lo_all[r];
-              hi = hi_all[r];
-              for (std::size_t m = 0; m < terms; ++m) {
-                s_m[m] = sm_all[r * terms + m];
-                t_m[m] = tm_all[r * terms + m];
-              }
-            }
-            detail::window_sweep_resume<Scalar>(
-                xs, ys, hs, poly, pos, lo, hi, std::span<Scalar>(s_m, terms),
-                std::span<Scalar>(t_m, terms), [&](std::size_t b, Scalar sq) {
-                  resid_all[b * rows + r] = sq;
-                });
-            lo_all[r] = lo;
-            hi_all[r] = hi;
-            for (std::size_t m = 0; m < terms; ++m) {
-              sm_all[r * terms + m] = s_m[m];
-              tm_all[r * terms + m] = t_m[m];
-            }
-          });
-        }
 
         spmd::reduce_sum_rows<Scalar>(device, resid_all,
                                       spmd::RowLayout::contiguous(kb, rows),
@@ -604,17 +421,9 @@ std::string MultiDeviceGridSelector::name() const {
   if (config_.stream.memory_budget_bytes != 0) {
     n += ",budget=" + std::to_string(config_.stream.memory_budget_bytes);
   }
-  if (config_.algorithm == SweepAlgorithm::kWindow) {
-    const std::size_t lanes = resolve_lane_width(config_.lane_width);
-    if (lanes > 1) {
-      n += ",lanes=" + std::to_string(lanes);
-      if (config_.sigma != SigmaPolicy::kNone) {
-        n += ",sigma=" + std::string(to_string(config_.sigma));
-      }
-      if (config_.prefetch_distance != 0) {
-        n += ",prefetch=" + std::to_string(config_.prefetch_distance);
-      }
-    }
+  if (config_.algorithm == SweepAlgorithm::kWindow &&
+      config_.lane_width != 1) {
+    n += ",lanes=" + std::to_string(config_.lane_width);
   }
   n += ")";
   return n;

@@ -6,10 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/batched_sweep.hpp"
-#include "core/detail/batched_lanes.hpp"
 #include "core/detail/device_sweep.hpp"
 #include "core/detail/lane_reduce.hpp"
+#include "core/detail/window_pass.hpp"
 #include "core/window_sweep.hpp"
 
 namespace kreg {
@@ -30,9 +29,15 @@ SpmdGridSelector::SpmdGridSelector(spmd::Device& device,
   if (config_.threads_per_block == 0) {
     throw std::invalid_argument("SpmdGridSelector: threads_per_block == 0");
   }
-  (void)resolve_lane_width(config_.lane_width);  // reject bad widths early
-  config_.prefetch_distance =
-      resolve_prefetch_distance(config_.prefetch_distance);
+  validate_lane_width(config_.lane_width);
+}
+
+void validate_lane_width(std::size_t lane_width) {
+  if (lane_width != 1 && lane_width != kLaneWidth) {
+    throw std::invalid_argument("lane_width must be 1 or " +
+                                std::to_string(kLaneWidth) + " (got " +
+                                std::to_string(lane_width) + ")");
+  }
 }
 
 std::size_t SpmdGridSelector::estimated_bytes(std::size_t n, std::size_t k,
@@ -69,21 +74,6 @@ std::size_t SpmdGridSelector::estimated_streamed_bytes(std::size_t n,
 }
 
 namespace {
-
-/// The σ-order for a lane-batched window launch: host-side launch metadata
-/// mapping each launch row of [begin, end) to the sorted-array observation
-/// (relative to begin) its lane sweeps. σ-scopes align with the launch
-/// blocks (scope = threads_per_block), so the permutation never crosses a
-/// block boundary — lanes of one dispatch always come from one block.
-template <class Scalar>
-std::vector<std::uint32_t> sigma_launch_order(std::span<const Scalar> host_x,
-                                              Scalar reach, std::size_t begin,
-                                              std::size_t end, std::size_t tpb,
-                                              SigmaPolicy policy) {
-  const AdmissionWindows win = admission_windows<Scalar>(host_x, reach);
-  return sigma_batch_order(win.length, win.lo, begin, end, tpb, policy,
-                           sigma_position_bucket(sizeof(Scalar)));
-}
 
 /// The residual matrix's rows as the score reduction walks them:
 /// `bandwidths` rows of `observations` residuals, bandwidth-major (one
@@ -150,24 +140,7 @@ SelectionResult run_streamed_window_selection(
 
   std::span<const Scalar> xs = d_x.span();
   std::span<const Scalar> ys = d_y.span();
-  spmd::MemView<std::size_t> lo_all = d_lo.view();
-  spmd::MemView<std::size_t> hi_all = d_hi.view();
-  spmd::MemView<Scalar> sm_all = d_sm.view();
-  spmd::MemView<Scalar> tm_all = d_tm.view();
   spmd::MemView<Scalar> resid_all = d_resid.view();
-
-  const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(n, tpb);
-
-  // Lane batching: σ-order computed once (the windows only grow, so the
-  // h_max key is valid for every k-block) and captured as launch metadata.
-  const std::size_t lane_width = resolve_lane_width(config.lane_width);
-  std::vector<std::uint32_t> order;
-  if (lane_width > 1) {
-    order = sigma_launch_order<Scalar>(std::span<const Scalar>(host_x),
-                                       host_grid.back(), 0, n, tpb,
-                                       config.sigma);
-  }
-  const std::span<const std::uint32_t> order_s(order);
 
   std::vector<double> cv(k);
   std::vector<Scalar> totals(plan.k_block);
@@ -179,83 +152,15 @@ SelectionResult run_streamed_window_selection(
                                          host_grid.begin() + b0 + kb);
     spmd::ConstantBuffer<Scalar> c_block =
         device.upload_constant<Scalar>(host_block, "bandwidth-grid-block");
-    spmd::MemView<const Scalar> hs = c_block.view();
-    const bool first = b0 == 0;
-
-    if (lane_width > 1) {
-      // Batched fast path: each dispatch loads C observations' carried
-      // window state into SoA lane storage, resumes the slice in lockstep,
-      // and stores it back. Carry and residuals stay keyed by observation,
-      // so the pass is bitwise identical to the scalar kernel below.
-      detail::with_lane_width(lane_width, [&](auto width_c) {
-        constexpr std::size_t C = decltype(width_c)::value;
-        device.launch_lanes("cv_sweep_kblock", main_cfg, C,
-                            [&, kb, first](const spmd::LaneCtx& t) {
-          detail::LaneBatch<Scalar, C> st;
-          st.lanes = 0;
-          for (std::size_t l = 0; l < t.lanes; ++l) {
-            const std::size_t j = t.global_base() + l;
-            if (j < n) {
-              st.pos[st.lanes++] = order_s[j];
-            }
-          }
-          if (st.lanes == 0) {
-            return;  // all-padding dispatch in the last block
-          }
-          const auto key = [&st](std::size_t l) { return st.pos[l]; };
-          if (first) {
-            detail::batch_seed(st, xs, ys);
-          } else {
-            detail::batch_load(st, xs, ys, lo_all, hi_all, sm_all, tm_all,
-                               terms, key);
-          }
-          detail::batch_resume(st, xs, ys, hs, poly,
-                               [&](std::size_t b, std::size_t l, Scalar sq) {
-            const std::size_t j = st.pos[l];
-            resid_all[bandwidth_major ? b * n + j : j * kb + b] = sq;
-          }, config.prefetch_distance);
-          detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms, key);
+    const detail::WindowCarry<Scalar> carry{d_lo.view(), d_hi.view(),
+                                            d_sm.view(), d_tm.view(),
+                                            b0 == 0};
+    detail::launch_window_pass<Scalar>(
+        device, "cv_sweep_kblock", config.lane_width, tpb, xs, ys, 0, n,
+        c_block.view(), poly, &carry,
+        [&, kb](std::size_t b, std::size_t j, Scalar sq) {
+          resid_all[bandwidth_major ? b * n + j : j * kb + b] = sq;
         });
-      });
-    } else {
-      device.launch("cv_sweep_kblock", main_cfg,
-                    [&, kb, first](const spmd::ThreadCtx& t) {
-        const std::size_t j = t.global_idx();
-        if (j >= n) {
-          return;  // padding thread in the last block
-        }
-        // Load (or seed, on the first block) the carried window state into
-        // thread-local storage, resume the sweep over this grid slice, and
-        // store the state back for the next block.
-        Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-        Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        if (first) {
-          detail::window_sweep_seed<Scalar>(ys, j, lo, hi,
-                                            std::span<Scalar>(s_m, terms),
-                                            std::span<Scalar>(t_m, terms));
-        } else {
-          lo = lo_all[j];
-          hi = hi_all[j];
-          for (std::size_t m = 0; m < terms; ++m) {
-            s_m[m] = sm_all[j * terms + m];
-            t_m[m] = tm_all[j * terms + m];
-          }
-        }
-        detail::window_sweep_resume<Scalar>(
-            xs, ys, hs, poly, j, lo, hi, std::span<Scalar>(s_m, terms),
-            std::span<Scalar>(t_m, terms), [&](std::size_t b, Scalar sq) {
-              resid_all[bandwidth_major ? b * n + j : j * kb + b] = sq;
-            });
-        lo_all[j] = lo;
-        hi_all[j] = hi;
-        for (std::size_t m = 0; m < terms; ++m) {
-          sm_all[j * terms + m] = s_m[m];
-          tm_all[j * terms + m] = t_m[m];
-        }
-      });
-    }
 
     // Reduce the block to its kb per-bandwidth sums right away, in one
     // launch; only the score totals and the running argmin survive the pass.
@@ -322,15 +227,6 @@ SelectionResult run_streamed_2d_window_selection(
   }
   spmd::MemView<Scalar> lanes = d_lanes.view();
 
-  // Lane batching: the σ-sort key (admission-window length at h_max) is a
-  // global property of the sorted array, so it is computed once and each
-  // n-block's launch rows are permuted within their launch-block scopes.
-  const std::size_t lane_width = resolve_lane_width(config.lane_width);
-  AdmissionWindows win;
-  if (lane_width > 1) {
-    win = admission_windows<Scalar>(host_xs, reach);
-  }
-
   for (std::size_t n0 = 0; n0 < n; n0 += plan.n_block) {
     const std::size_t nb = std::min(plan.n_block, n - n0);
     const std::size_t slab_begin = detail::halo_begin(host_xs, n0, reach);
@@ -359,22 +255,8 @@ SelectionResult run_streamed_2d_window_selection(
 
     std::span<const Scalar> xs = d_x.span();
     std::span<const Scalar> ys = d_y.span();
-    spmd::MemView<std::size_t> lo_all = d_lo.view();
-    spmd::MemView<std::size_t> hi_all = d_hi.view();
-    spmd::MemView<Scalar> sm_all = d_sm.view();
-    spmd::MemView<Scalar> tm_all = d_tm.view();
     spmd::MemView<Scalar> resid_all = d_resid.view();
-
-    const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(nb, tpb);
     const std::size_t rel0 = n0 - slab_begin;  // block's first slab index
-
-    std::vector<std::uint32_t> tile_order;
-    if (lane_width > 1) {
-      tile_order =
-          sigma_batch_order(win.length, win.lo, n0, n0 + nb, tpb,
-                            config.sigma, sigma_position_bucket(sizeof(Scalar)));
-    }
-    const std::span<const std::uint32_t> order_s(tile_order);
 
     for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
       const std::size_t kb = std::min(plan.k_block, k - b0);
@@ -382,89 +264,18 @@ SelectionResult run_streamed_2d_window_selection(
                                            host_grid.begin() + b0 + kb);
       spmd::ConstantBuffer<Scalar> c_block =
           device.upload_constant<Scalar>(host_block, "bandwidth-grid-block");
-      spmd::MemView<const Scalar> hs = c_block.view();
-      const bool first = b0 == 0;
-
-      if (lane_width > 1) {
-        // Batched fast path over slab-relative positions; carry and
-        // residuals keyed by the observation's block-relative index, so
-        // the σ permutation never changes what any cell holds.
-        detail::with_lane_width(lane_width, [&](auto width_c) {
-          constexpr std::size_t C = decltype(width_c)::value;
-          device.launch_lanes("cv_sweep_tile", main_cfg, C,
-                              [&, nb, kb, first, rel0](
-                                  const spmd::LaneCtx& t) {
-            detail::LaneBatch<Scalar, C> st;
-            st.lanes = 0;
-            for (std::size_t l = 0; l < t.lanes; ++l) {
-              const std::size_t r = t.global_base() + l;
-              if (r < nb) {
-                st.pos[st.lanes++] = rel0 + order_s[r];
-              }
-            }
-            if (st.lanes == 0) {
-              return;
-            }
-            const auto key = [&st, rel0](std::size_t l) {
-              return st.pos[l] - rel0;
-            };
-            if (first) {
-              detail::batch_seed(st, xs, ys);
-            } else {
-              detail::batch_load(st, xs, ys, lo_all, hi_all, sm_all, tm_all,
-                                 terms, key);
-            }
-            detail::batch_resume(
-                st, xs, ys, hs, poly,
-                [&](std::size_t b, std::size_t l, Scalar sq) {
-                  const std::size_t q = st.pos[l] - rel0;
-                  resid_all[bandwidth_major ? b * nb + q : q * kb + b] = sq;
-                },
-                config.prefetch_distance);
-            detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms,
-                                key);
+      // Positions are slab-relative: the halo guarantees no admission ever
+      // reaches a slab edge the resident sweep would cross, so the
+      // slab-relative guards decide exactly as the absolute ones.
+      const detail::WindowCarry<Scalar> carry{d_lo.view(), d_hi.view(),
+                                              d_sm.view(), d_tm.view(),
+                                              b0 == 0};
+      detail::launch_window_pass<Scalar>(
+          device, "cv_sweep_tile", config.lane_width, tpb, xs, ys, rel0, nb,
+          c_block.view(), poly, &carry,
+          [&, nb, kb](std::size_t b, std::size_t r, Scalar sq) {
+            resid_all[bandwidth_major ? b * nb + r : r * kb + b] = sq;
           });
-        });
-      } else {
-        device.launch("cv_sweep_tile", main_cfg,
-                      [&, nb, kb, first, rel0](const spmd::ThreadCtx& t) {
-          const std::size_t r = t.global_idx();
-          if (r >= nb) {
-            return;
-          }
-          // Positions are slab-relative: the halo guarantees no admission
-          // ever reaches a slab edge the resident sweep would cross, so the
-          // slab-relative guards decide exactly as the absolute ones.
-          const std::size_t pos = rel0 + r;
-          Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-          Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-          std::size_t lo = 0;
-          std::size_t hi = 0;
-          if (first) {
-            detail::window_sweep_seed<Scalar>(ys, pos, lo, hi,
-                                              std::span<Scalar>(s_m, terms),
-                                              std::span<Scalar>(t_m, terms));
-          } else {
-            lo = lo_all[r];
-            hi = hi_all[r];
-            for (std::size_t m = 0; m < terms; ++m) {
-              s_m[m] = sm_all[r * terms + m];
-              t_m[m] = tm_all[r * terms + m];
-            }
-          }
-          detail::window_sweep_resume<Scalar>(
-              xs, ys, hs, poly, pos, lo, hi, std::span<Scalar>(s_m, terms),
-              std::span<Scalar>(t_m, terms), [&](std::size_t b, Scalar sq) {
-                resid_all[bandwidth_major ? b * nb + r : r * kb + b] = sq;
-              });
-          lo_all[r] = lo;
-          hi_all[r] = hi;
-          for (std::size_t m = 0; m < terms; ++m) {
-            sm_all[r * terms + m] = s_m[m];
-            tm_all[r * terms + m] = t_m[m];
-          }
-        });
-      }
 
       // Phase 1 of the resident reduction, continued across n-blocks.
       detail::lane_fold<Scalar>(device, "score_lane_accum", lanes, b0,
@@ -645,59 +456,21 @@ SelectionResult run_device_selection(spmd::Device& device,
 
   // --- Main kernel (paper §IV-B) ------------------------------------------
   // One thread per observation; no shared memory or cross-thread
-  // coordination, so an independent launch.
-  const spmd::LaunchConfig main_cfg =
-      spmd::LaunchConfig::cover(n, tpb);
-  const std::size_t lane_width =
-      window ? resolve_lane_width(config.lane_width) : 1;
-  if (window && lane_width > 1) {
-    // Batched fast path (the default): each dispatch sweeps C σ-sorted
-    // observations in lockstep SoA lanes. Residuals stay keyed by
-    // observation, so the matrix — and every reduction after it — is
-    // bitwise identical to the scalar kernel's.
-    const std::vector<std::uint32_t> order = sigma_launch_order<Scalar>(
-        std::span<const Scalar>(host_x), host_grid.back(), 0, n, tpb,
-        config.sigma);
-    const std::span<const std::uint32_t> order_s(order);
-    detail::with_lane_width(lane_width, [&](auto width_c) {
-      constexpr std::size_t C = decltype(width_c)::value;
-      device.launch_lanes("cv_sweep", main_cfg, C,
-                          [&, n, k](const spmd::LaneCtx& t) {
-        detail::LaneBatch<Scalar, C> st;
-        st.lanes = 0;
-        for (std::size_t l = 0; l < t.lanes; ++l) {
-          const std::size_t j = t.global_base() + l;
-          if (j < n) {
-            st.pos[st.lanes++] = order_s[j];
-          }
-        }
-        if (st.lanes == 0) {
-          return;  // all-padding dispatch in the last block
-        }
-        detail::batch_seed(st, xs, ys);
-        detail::batch_resume(st, xs, ys, hs, poly,
-                             [&](std::size_t b, std::size_t l, Scalar sq) {
-          const std::size_t j = st.pos[l];
+  // coordination, so an independent launch. The window sweep indexes the
+  // device-global sorted X/Y, growing the two-pointer window across the
+  // ascending grid; no private rows, no per-thread sort.
+  if (window) {
+    detail::launch_window_pass<Scalar>(
+        device, "cv_sweep", config.lane_width, tpb, xs, ys, 0, n, hs, poly,
+        nullptr, [&, n, k](std::size_t b, std::size_t j, Scalar sq) {
           resid_all[bandwidth_major ? b * n + j : j * k + b] = sq;
-        }, config.prefetch_distance);
-      });
-    });
+        });
   } else {
-    device.launch("cv_sweep", main_cfg, [&, n, k](const spmd::ThreadCtx& t) {
+    device.launch("cv_sweep", spmd::LaunchConfig::cover(n, tpb),
+                  [&, n, k](const spmd::ThreadCtx& t) {
       const std::size_t j = t.global_idx();
       if (j >= n) {
         return;  // padding thread in the last block
-      }
-
-      if (window) {
-        // Window sweep: index into the device-global sorted X/Y, growing the
-        // two-pointer window across the ascending grid. No private rows, no
-        // per-thread sort; residuals land in the configured layout.
-        detail::window_sweep_thread<Scalar>(
-            xs, ys, hs, poly, j, [&](std::size_t b, Scalar sq) {
-              resid_all[bandwidth_major ? b * n + j : j * k + b] = sq;
-            });
-        return;
       }
 
       // Thread j's rows of the distance and Y matrices. In streaming mode the
@@ -825,17 +598,9 @@ std::string SpmdGridSelector::name() const {
   if (config_.stream.memory_budget_bytes != 0) {
     n += ",budget=" + std::to_string(config_.stream.memory_budget_bytes);
   }
-  if (config_.algorithm == SweepAlgorithm::kWindow) {
-    const std::size_t lanes = resolve_lane_width(config_.lane_width);
-    if (lanes > 1) {
-      n += ",lanes=" + std::to_string(lanes);
-      if (config_.sigma != SigmaPolicy::kNone) {
-        n += ",sigma=" + std::string(to_string(config_.sigma));
-      }
-      if (config_.prefetch_distance != 0) {
-        n += ",prefetch=" + std::to_string(config_.prefetch_distance);
-      }
-    }
+  if (config_.algorithm == SweepAlgorithm::kWindow &&
+      config_.lane_width != 1) {
+    n += ",lanes=" + std::to_string(config_.lane_width);
   }
   n += ")";
   return n;

@@ -26,7 +26,7 @@ inline constexpr std::size_t kDefaultCacheBudgetBytes = std::size_t{64}
 /// suffix), value in [1, kMaxServeWorkers]. Throws std::invalid_argument
 /// on empty input, non-digit characters, zero, overflow, or a count above
 /// the bound — the same reject-don't-guess posture as
-/// parse_prefetch_distance.
+/// parse_memory_budget.
 std::size_t parse_worker_count(std::string_view text);
 
 /// Worker count from an explicit value or the environment:

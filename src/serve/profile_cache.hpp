@@ -17,10 +17,9 @@ namespace kreg::serve {
 /// when they would provably compute the same bits: same dataset content
 /// (dual fingerprint + exact length), same estimator/kernel/precision, the
 /// same grid *in the same order* (the grid digest is order-sensitive, so a
-/// permuted grid misses), and the same numeric family. Streaming/batching
-/// knobs are deliberately absent — every plan they induce is bitwise
-/// identical for a fixed key (the streaming and lane-batching parity
-/// contracts) — and backends collapse into `family`, the coarsest grouping
+/// permuted grid misses), and the same numeric family. Streaming knobs are
+/// deliberately absent — every plan they induce is bitwise identical for a
+/// fixed key (the streaming parity contract) — and backends collapse into `family`, the coarsest grouping
 /// that is still provably bitwise: the k-NN and OSCV profiles reproduce
 /// the same window-sweep fold bit-for-bit on every backend, and the NW
 /// host sweeps (sequential and tiled) agree bitwise, but the NW *device*

@@ -182,9 +182,6 @@ Request parse_request(std::string_view line) {
       request.grid = parse_grid_spec(value);
     } else if (key == "backend") {
       request.backend = parse_job_backend(value);
-    } else if (key == "lane") {
-      request.lane_width =
-          static_cast<std::size_t>(parse_u64(value, "lane width"));
     } else if (key == "budget") {
       request.budget_bytes = parse_memory_budget(value);
     } else {

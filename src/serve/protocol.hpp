@@ -20,8 +20,7 @@ namespace kreg::serve {
 ///   shutdown
 ///   select [estimator=nw|knn|oscv] [kernel=<name>] [precision=float|double]
 ///          [dgp=<name>] [n=<count>] [seed=<u64>] [grid=<lo>:<hi>:<count>]
-///          [backend=host|tiled|device] [lane=<0|1|4|8|16>]
-///          [budget=<bytes-with-suffix>]
+///          [backend=host|tiled|device] [budget=<bytes-with-suffix>]
 ///
 /// Responses: "ok ..." or "error <message>".
 enum class RequestKind { kSelect, kStats, kPing, kShutdown };
@@ -52,7 +51,6 @@ struct Request {
   std::uint64_t seed = 1;
   GridSpec grid;
   JobBackend backend = JobBackend::kDevice;
-  std::size_t lane_width = 0;
   std::size_t budget_bytes = 0;  ///< stream budget; 0 = derive
 };
 

@@ -49,23 +49,22 @@ Reservation plan_reservation(SelectionJob job, std::size_t share,
 
 /// Two device jobs may share one launch exactly when merging their grids
 /// provably cannot change either job's bits: same dataset handle, same
-/// estimator/kernel/precision, the same lane-batching knobs (keeping the
-/// merged launch's reservation model exact), and — the load-bearing part —
-/// an estimator whose per-grid-point score is independent of the rest of
-/// the grid. The k-NN and OSCV device folds are bitwise invariant under
-/// grid composition (each point's fold runs in the same ascending
-/// observation order regardless of its neighbours), but the NW device
-/// sweep's σ-sorted lane batching composes lanes across the whole h-grid,
-/// so merging grids perturbs its last-ulp bits. NW jobs therefore never
-/// grid-merge; identical NW jobs still coalesce onto one launch via their
-/// shared cache key.
+/// estimator/kernel/precision, and — the load-bearing part — an estimator
+/// whose per-grid-point score is independent of the rest of the grid. The
+/// k-NN and OSCV device folds are bitwise invariant under grid composition
+/// (each point's fold runs in the same ascending observation order
+/// regardless of its neighbours). The NW sweep is not: at each bandwidth it
+/// admits the left run and then the right run into one set of moment sums,
+/// so a grid point inserted below h splits both runs and changes the order
+/// of the additions, and with it the last-ulp bits of the score at h. NW
+/// jobs therefore never grid-merge; identical NW jobs still coalesce onto
+/// one launch via their shared cache key.
 bool co_schedulable(const SelectionJob& lhs, const SelectionJob& rhs) {
   return lhs.backend == JobBackend::kDevice &&
          rhs.backend == JobBackend::kDevice &&
          lhs.estimator != EstimatorKind::kNadarayaWatson &&
          lhs.data == rhs.data && lhs.estimator == rhs.estimator &&
-         lhs.kernel == rhs.kernel && lhs.precision == rhs.precision &&
-         lhs.lane_width == rhs.lane_width && lhs.sigma == rhs.sigma;
+         lhs.kernel == rhs.kernel && lhs.precision == rhs.precision;
 }
 
 template <class T>

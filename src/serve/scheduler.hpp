@@ -101,12 +101,13 @@ struct SchedulerStats {
 ///      share one launch over the sorted union of their grids — bitwise
 ///      safe only for estimators whose per-grid-point scores are
 ///      independent of the rest of the grid, i.e. the k-NN and OSCV device
-///      folds; the NW device sweep batches lanes across the whole h-grid
-///      and never grid-merges), admitted solo against the device's byte
-///      share (reservation = the resolve_streaming plan's modeled bytes),
-///      or deferred to the next wave. The first job of a wave on an empty
-///      device is always admitted (solo-override) so progress is
-///      guaranteed even for jobs that can never fit.
+///      folds; the NW sweep's admission order at each bandwidth depends on
+///      the grid points below it, so NW never grid-merges), admitted solo
+///      against the device's byte share (reservation = the
+///      resolve_streaming plan's modeled bytes), or deferred to the next
+///      wave. The first job of a wave on an empty device is always
+///      admitted (solo-override) so progress is guaranteed even for jobs
+///      that can never fit.
 ///   2. *Execution*: admitted groups run — inline and in admission order
 ///      (deterministic mode) or concurrently on the worker pool (threaded
 ///      mode, one mutex per device since the simulated Device is not

@@ -92,7 +92,6 @@ SelectionJob ServeContext::job_from_request(const Request& request) {
   job.kernel = request.kernel;
   job.precision = request.precision;
   job.backend = request.backend;
-  job.lane_width = request.lane_width;
   job.stream.memory_budget_bytes = request.budget_bytes;
   if (request.estimator == EstimatorKind::kKnn) {
     job.neighbor_grid = request.grid.set

@@ -10,9 +10,9 @@ namespace kreg::sort {
 /// Stable indexed two-key sort: reorders `order` (a range of indices into
 /// some external table) so that `primary(i)` is ascending and ties are
 /// broken by `secondary(i)` descending; rows equal under both keys keep
-/// their incoming relative order. This is the σ-sort shape the batched
-/// window sweep needs — group lanes by admission-window *position* bucket,
-/// then by *length* within a bucket — but the helper is key-agnostic.
+/// their incoming relative order. sigma_batch_order uses it to group rows
+/// by admission-window *position* bucket, then by *length* within a bucket
+/// — but the helper is key-agnostic.
 ///
 /// Implemented as a bottom-up merge over a caller-provided scratch buffer
 /// (resized as needed), so per-scope invocations inside a tiled sweep reuse

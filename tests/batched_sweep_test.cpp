@@ -1,10 +1,10 @@
-// Tests for the batched (SELL-C-σ-style) window-sweep execution layer:
-// the σ-sort key and batch ordering, lane-width resolution, bitwise parity
-// of the batched host profile with the scalar resident/tiled sweeps across
-// lane widths, σ on/off, ragged tails, precisions, and streaming tilings —
-// and the batched device kernels against the scalar device baseline. The
-// LaneKernelParity tests hold both lane kernels (generic and AVX-512) to the
-// scalar resume.
+// Tests for the batched window-sweep execution layer: the admission-window
+// keys and the σ batch order perfbench's layer probe still uses,
+// bitwise parity of the batched host profile with the scalar
+// resident/tiled sweeps across ragged tails, precisions, kernels and
+// streaming tilings — and the 8-lane device kernels against the scalar
+// device kernels on uniform and clustered X. The LaneKernelParity tests
+// hold both lane kernels (generic and AVX-512) to the scalar resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +32,6 @@
 namespace {
 
 using kreg::BandwidthGrid;
-using kreg::BatchedSweep;
 using kreg::HostTiling;
 using kreg::KernelType;
 using kreg::MultiDeviceGridSelector;
@@ -52,8 +51,21 @@ Dataset paper_data(std::size_t n, std::uint64_t seed) {
   return kreg::data::paper_dgp(n, s);
 }
 
-constexpr SigmaPolicy kAllPolicies[] = {
-    SigmaPolicy::kNone, SigmaPolicy::kLength, SigmaPolicy::kPositionLength};
+/// X uniform on [0, 1], or clustered — four tight clusters on a 1e-4
+/// lattice, so exact duplicates (distance 0) occur too.
+Dataset lane_dataset(bool clustered, std::size_t n, std::uint64_t seed) {
+  Stream s(seed);
+  Dataset d;
+  d.x.resize(n);
+  d.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d.x[i] = clustered ? 0.25 * static_cast<double>(s.index(4)) +
+                             std::round(s.gaussian(0.0, 0.01) * 1e4) / 1e4
+                       : s.uniform();
+    d.y[i] = std::sin(6.0 * d.x[i]) + s.gaussian(0.0, 0.3);
+  }
+  return d;
+}
 
 std::vector<double> test_grid(std::size_t k = 24) {
   return BandwidthGrid(0.05, 1.2, k).values();
@@ -65,23 +77,6 @@ void expect_bitwise_profiles(const std::vector<double>& got,
   for (std::size_t b = 0; b < want.size(); ++b) {
     EXPECT_DOUBLE_EQ(got[b], want[b]) << "b=" << b;
   }
-}
-
-// --- resolve_lane_width ----------------------------------------------------
-
-TEST(ResolveLaneWidth, ZeroSelectsDefaultAndValidWidthsPass) {
-  EXPECT_EQ(kreg::resolve_lane_width(0), kreg::kDefaultLaneWidth);
-  EXPECT_EQ(kreg::resolve_lane_width(1), 1u);
-  EXPECT_EQ(kreg::resolve_lane_width(4), 4u);
-  EXPECT_EQ(kreg::resolve_lane_width(8), 8u);
-  EXPECT_EQ(kreg::resolve_lane_width(16), 16u);
-}
-
-TEST(ResolveLaneWidth, RejectsUnsupportedWidths) {
-  EXPECT_THROW(kreg::resolve_lane_width(2), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(3), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(5), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(32), std::invalid_argument);
 }
 
 // --- admission_window_lengths ----------------------------------------------
@@ -125,10 +120,22 @@ TEST(AdmissionWindowLengths, FloatUsesFloatPredicate) {
 }
 
 // --- sigma_batch_order -----------------------------------------------------
+//
+// With every lo in one position bucket, the two-key order reduces to its
+// secondary key: window length, descending and stable.
+
+std::vector<std::uint32_t> length_order(const std::vector<std::size_t>& lengths,
+                                        std::size_t begin, std::size_t end,
+                                        std::size_t scope) {
+  const std::vector<std::size_t> los(lengths.size(), 0);
+  return kreg::sigma_batch_order(lengths, los, begin, end, scope,
+                                 SigmaPolicy::kPositionLength, 8);
+}
 
 TEST(SigmaBatchOrder, IdentityWhenSortDisabled) {
   const std::vector<std::size_t> lengths = {5, 1, 9, 3, 7};
-  const auto order = kreg::sigma_batch_order(lengths, 0, 5, 0, false);
+  const auto order =
+      kreg::sigma_batch_order(lengths, {}, 0, 5, 0, SigmaPolicy::kNone, 8);
   ASSERT_EQ(order.size(), 5u);
   for (std::uint32_t r = 0; r < 5; ++r) {
     EXPECT_EQ(order[r], r);
@@ -137,7 +144,7 @@ TEST(SigmaBatchOrder, IdentityWhenSortDisabled) {
 
 TEST(SigmaBatchOrder, SortsDescendingStableWithinScope) {
   const std::vector<std::size_t> lengths = {5, 1, 9, 5, 7};
-  const auto order = kreg::sigma_batch_order(lengths, 0, 5, 0, true);
+  const auto order = length_order(lengths, 0, 5, 0);
   // Descending by length; ties (the two 5s) keep original order.
   const std::vector<std::uint32_t> want = {2, 4, 0, 3, 1};
   ASSERT_EQ(order.size(), want.size());
@@ -149,7 +156,7 @@ TEST(SigmaBatchOrder, SortsDescendingStableWithinScope) {
 TEST(SigmaBatchOrder, ScopesSortIndependently) {
   const std::vector<std::size_t> lengths = {1, 9, 5, 2, 8, 3};
   // scope = 3: {1,9,5} and {2,8,3} sort independently.
-  const auto order = kreg::sigma_batch_order(lengths, 0, 6, 3, true);
+  const auto order = length_order(lengths, 0, 6, 3);
   const std::vector<std::uint32_t> want = {1, 2, 0, 4, 5, 3};
   ASSERT_EQ(order.size(), want.size());
   for (std::size_t r = 0; r < want.size(); ++r) {
@@ -159,7 +166,7 @@ TEST(SigmaBatchOrder, ScopesSortIndependently) {
 
 TEST(SigmaBatchOrder, RespectsBeginOffsetAndIsAPermutation) {
   const std::vector<std::size_t> lengths = {0, 0, 4, 6, 5, 2};
-  const auto order = kreg::sigma_batch_order(lengths, 2, 6, 0, true);
+  const auto order = length_order(lengths, 2, 6, 0);
   ASSERT_EQ(order.size(), 4u);
   // Relative to begin = 2: lengths {4,6,5,2} → order {1,2,0,3}.
   EXPECT_EQ(order[0], 1u);
@@ -242,17 +249,6 @@ TEST(SigmaBatchOrderTwoKey, PositionLengthRequiresLoCoverage) {
                std::invalid_argument);
 }
 
-TEST(SigmaBatchOrderTwoKey, LegacyBoolOverloadMapsToLengthPolicy) {
-  const std::vector<std::size_t> lengths = {5, 1, 9, 5, 7};
-  const auto legacy = kreg::sigma_batch_order(lengths, 0, 5, 0, true);
-  const auto policy = kreg::sigma_batch_order(
-      lengths, {}, 0, 5, 0, SigmaPolicy::kLength, 8);
-  ASSERT_EQ(legacy.size(), policy.size());
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    EXPECT_EQ(legacy[r], policy[r]) << "r=" << r;
-  }
-}
-
 // --- admission_windows -------------------------------------------------------
 
 TEST(AdmissionWindowsTest, LoAndLengthMatchBruteForce) {
@@ -280,28 +276,24 @@ TEST(AdmissionWindowsTest, LoAndLengthMatchBruteForce) {
 // --- host batched profile: bitwise parity ----------------------------------
 
 // One tile covering the dataset ⇒ the batched profile must equal the
-// sequential scalar profile bit for bit, for every lane width × σ setting,
-// including ragged tails (n mod C ≠ 0).
+// sequential scalar profile bit for bit, including ragged tails
+// (n mod 8 ≠ 0), on uniform and clustered X.
 TEST(BatchedHostProfile, BitwiseEqualsScalarSingleTile) {
   const std::vector<double> grid = test_grid();
-  for (const std::size_t n : {64u, 203u, 517u}) {
-    const Dataset data = paper_data(n, 42 + n);
-    const std::vector<double> want = kreg::window_cv_profile(
-        data, grid, KernelType::kEpanechnikov, Precision::kDouble);
-    HostTiling one_tile;
-    one_tile.n_block = n;  // single tile: matches profile_sequential order
-    for (const std::size_t width : {1u, 4u, 8u, 16u}) {
-      for (const SigmaPolicy sigma : kAllPolicies) {
-        BatchedSweep batched;
-        batched.lane_width = width;
-        batched.sigma = sigma;
-        const std::vector<double> got = kreg::window_cv_profile_batched(
-            data, grid, KernelType::kEpanechnikov, Precision::kDouble,
-            batched, one_tile);
-        SCOPED_TRACE("n=" + std::to_string(n) + " C=" + std::to_string(width) +
-                     " sigma=" + std::string(kreg::to_string(sigma)));
-        expect_bitwise_profiles(got, want);
-      }
+  for (const bool clustered : {false, true}) {
+    for (const std::size_t n : {64u, 203u, 517u}) {
+      const Dataset data = clustered ? lane_dataset(true, n, 42 + n)
+                                     : paper_data(n, 42 + n);
+      const std::vector<double> want = kreg::window_cv_profile(
+          data, grid, KernelType::kEpanechnikov, Precision::kDouble);
+      HostTiling one_tile;
+      one_tile.n_block = n;  // single tile: matches profile_sequential order
+      const std::vector<double> got = kreg::window_cv_profile_batched(
+          data, grid, KernelType::kEpanechnikov, Precision::kDouble,
+          one_tile);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (clustered ? " clustered X" : " uniform X"));
+      expect_bitwise_profiles(got, want);
     }
   }
 }
@@ -313,15 +305,9 @@ TEST(BatchedHostProfile, BitwiseEqualsScalarFloat) {
       data, grid, KernelType::kEpanechnikov, Precision::kFloat);
   HostTiling one_tile;
   one_tile.n_block = 301;
-  for (const std::size_t width : {4u, 8u}) {
-    BatchedSweep batched;
-    batched.lane_width = width;
-    const std::vector<double> got = kreg::window_cv_profile_batched(
-        data, grid, KernelType::kEpanechnikov, Precision::kFloat, batched,
-        one_tile);
-    SCOPED_TRACE("C=" + std::to_string(width));
-    expect_bitwise_profiles(got, want);
-  }
+  const std::vector<double> got = kreg::window_cv_profile_batched(
+      data, grid, KernelType::kEpanechnikov, Precision::kFloat, one_tile);
+  expect_bitwise_profiles(got, want);
 }
 
 // Same tiling ⇒ the batched profile must equal the scalar *tiled* profile
@@ -336,18 +322,11 @@ TEST(BatchedHostProfile, BitwiseEqualsTiledUnderStreamingTilings) {
       tiling.k_block = k_block;
       const std::vector<double> want = kreg::window_cv_profile_tiled(
           data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
-      for (const SigmaPolicy sigma : kAllPolicies) {
-        BatchedSweep batched;
-        batched.lane_width = 8;
-        batched.sigma = sigma;
-        const std::vector<double> got = kreg::window_cv_profile_batched(
-            data, grid, KernelType::kEpanechnikov, Precision::kDouble,
-            batched, tiling);
-        SCOPED_TRACE("n_block=" + std::to_string(n_block) +
-                     " k_block=" + std::to_string(k_block) +
-                     " sigma=" + std::string(kreg::to_string(sigma)));
-        expect_bitwise_profiles(got, want);
-      }
+      const std::vector<double> got = kreg::window_cv_profile_batched(
+          data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
+      SCOPED_TRACE("n_block=" + std::to_string(n_block) +
+                   " k_block=" + std::to_string(k_block));
+      expect_bitwise_profiles(got, want);
     }
   }
 }
@@ -360,20 +339,16 @@ TEST(BatchedHostProfile, BitwiseParityTriweightKernel) {
       data, grid, KernelType::kTriweight, Precision::kDouble);
   HostTiling one_tile;
   one_tile.n_block = 222;
-  BatchedSweep batched;
-  batched.lane_width = 8;
   const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kTriweight, Precision::kDouble, batched,
-      one_tile);
+      data, grid, KernelType::kTriweight, Precision::kDouble, one_tile);
   expect_bitwise_profiles(got, want);
 }
 
-// Tiny samples stress the batch machinery's edges: n < C (one all-padding
-// batch beyond lane 0), n = C (exactly one full batch), and n = C + 1 (a
-// one-lane ragged tail) — for both precisions under the default two-key
-// policy, where the contiguous-run detector sees windows pinned against
-// both array edges.
-TEST(BatchedHostProfile, TinyNBitwiseParityPositionLength) {
+// Tiny samples stress the batch machinery's edges: n < 8 (one batch with
+// padding lanes), n = 8 (exactly one full batch), and n = 8 + 1 (a
+// one-lane ragged tail) — for both precisions, where the contiguous-run
+// detector sees windows pinned against both array edges.
+TEST(BatchedHostProfile, TinyNBitwiseParity) {
   const std::vector<double> grid = test_grid(16);
   for (const std::size_t n : {5u, 8u, 9u, 16u, 17u}) {
     const Dataset data = paper_data(n, 100 + n);
@@ -383,28 +358,22 @@ TEST(BatchedHostProfile, TinyNBitwiseParityPositionLength) {
       const std::vector<double> want =
           kreg::window_cv_profile(data, grid, KernelType::kEpanechnikov,
                                   precision);
-      for (const std::size_t width : {8u, 16u}) {
-        BatchedSweep batched;
-        batched.lane_width = width;
-        batched.sigma = SigmaPolicy::kPositionLength;
-        BatchRunStats stats;
-        const std::vector<double> got = kreg::window_cv_profile_batched(
-            data, grid, KernelType::kEpanechnikov, precision, batched,
-            one_tile, nullptr, &stats);
-        SCOPED_TRACE("n=" + std::to_string(n) + " C=" + std::to_string(width) +
-                     " float=" +
-                     std::to_string(precision == Precision::kFloat));
-        expect_bitwise_profiles(got, want);
-        EXPECT_GE(stats.contig_rate(), 0.0);
-        EXPECT_LE(stats.contig_rate(), 1.0);
-      }
+      BatchRunStats stats;
+      const std::vector<double> got = kreg::window_cv_profile_batched(
+          data, grid, KernelType::kEpanechnikov, precision, one_tile,
+          nullptr, &stats);
+      SCOPED_TRACE("n=" + std::to_string(n) + " float=" +
+                   std::to_string(precision == Precision::kFloat));
+      expect_bitwise_profiles(got, want);
+      EXPECT_GE(stats.contig_rate(), 0.0);
+      EXPECT_LE(stats.contig_rate(), 1.0);
     }
   }
 }
 
-// Under the two-key policy a batch's lanes admit from overlapping index
-// ranges, so the contiguous-run transpose path must actually fire — and
-// firing must not perturb a single bit of the profile.
+// A batch's lanes are consecutive sorted observations and admit from
+// overlapping index ranges, so the contiguous-run transpose path must
+// actually fire — and firing must not perturb a single bit of the profile.
 TEST(BatchedHostProfile, ContigFastPathFiresAndStaysBitwise) {
   const std::vector<double> grid = test_grid();
   const Dataset data = paper_data(1024, 77);
@@ -412,91 +381,20 @@ TEST(BatchedHostProfile, ContigFastPathFiresAndStaysBitwise) {
       data, grid, KernelType::kEpanechnikov, Precision::kDouble);
   HostTiling one_tile;
   one_tile.n_block = 1024;
-  // C = 4 is absent: narrow-batch host requests are rerouted to the scalar
-  // sweep (see CFourRoutesToScalarSweep), so its vector counters never fire.
-  for (const std::size_t width : {8u, 16u}) {
-    BatchedSweep batched;
-    batched.lane_width = width;
-    batched.sigma = SigmaPolicy::kPositionLength;
-    BatchRunStats stats;
-    const std::vector<double> got = kreg::window_cv_profile_batched(
-        data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-        one_tile, nullptr, &stats);
-    SCOPED_TRACE("C=" + std::to_string(width));
-    expect_bitwise_profiles(got, want);
-    EXPECT_GT(stats.contig_steps, 0u);
-    EXPECT_GT(stats.contig_steps + stats.gather_steps, 0u);
-    EXPECT_GE(stats.contig_rate(), 0.0);
-    EXPECT_LE(stats.contig_rate(), 1.0);
-    EXPECT_EQ(stats.scalar_routed, 0u);
-  }
-}
-
-// The C = 4 narrow batch loses to scalar on the host (ROADMAP measurement):
-// an explicit lane_width = 4 request must take the scalar tiled sweep —
-// bitwise identical, no vector steps, and the reroute noted in the ledger.
-TEST(BatchedHostProfile, CFourRoutesToScalarSweep) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(640, 19);
-  HostTiling tiling;  // auto tiles: matches window_cv_profile_tiled exactly
-  const std::vector<double> want = kreg::window_cv_profile_tiled(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
-  BatchedSweep batched;
-  batched.lane_width = 4;
   BatchRunStats stats;
   const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-      tiling, nullptr, &stats);
+      data, grid, KernelType::kEpanechnikov, Precision::kDouble, one_tile,
+      nullptr, &stats);
   expect_bitwise_profiles(got, want);
-  EXPECT_EQ(stats.scalar_routed, 1u);
-  EXPECT_EQ(stats.contig_steps, 0u);
-  EXPECT_EQ(stats.gather_steps, 0u);
-
-  // The wide batch still takes the vector path: no reroute.
-  batched.lane_width = 8;
-  BatchRunStats wide_stats;
-  const std::vector<double> wide = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-      tiling, nullptr, &wide_stats);
-  expect_bitwise_profiles(wide, want);
-  EXPECT_EQ(wide_stats.scalar_routed, 0u);
-  EXPECT_GT(wide_stats.contig_steps + wide_stats.gather_steps, 0u);
-}
-
-// Software prefetch is observational: any distance gives the same bits.
-TEST(BatchedHostProfile, PrefetchDistanceIsBitwiseNeutral) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(517, 41);
-  HostTiling one_tile;
-  one_tile.n_block = 517;
-  const std::vector<double> want = kreg::window_cv_profile(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble);
-  for (const std::size_t dist : {0u, 1u, 8u, 64u}) {
-    BatchedSweep batched;
-    batched.lane_width = 8;
-    batched.prefetch_distance = dist;
-    const std::vector<double> got = kreg::window_cv_profile_batched(
-        data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-        one_tile);
-    SCOPED_TRACE("dist=" + std::to_string(dist));
-    expect_bitwise_profiles(got, want);
-  }
-}
-
-TEST(BatchedHostProfile, RejectsOversizedPrefetchDistance) {
-  const Dataset data = paper_data(32, 3);
-  const std::vector<double> grid = test_grid(4);
-  BatchedSweep batched;
-  batched.prefetch_distance = kreg::kMaxPrefetchDistance + 1;
-  EXPECT_THROW(kreg::window_cv_profile_batched(data, grid,
-                                               KernelType::kEpanechnikov,
-                                               Precision::kDouble, batched),
-               std::invalid_argument);
+  EXPECT_GT(stats.contig_steps, 0u);
+  EXPECT_GT(stats.contig_steps + stats.gather_steps, 0u);
+  EXPECT_GE(stats.contig_rate(), 0.0);
+  EXPECT_LE(stats.contig_rate(), 1.0);
 }
 
 TEST(BatchedHostProfile, DefaultsMatchTiledDefaults) {
-  // Default BatchedSweep (auto width, σ on) with default tiling must equal
-  // the default scalar tiled profile — batched is the default host backend.
+  // Default tiling must equal the default scalar tiled profile — batched is
+  // the default host backend.
   const std::vector<double> grid = test_grid();
   const Dataset data = paper_data(3000, 21);
   const std::vector<double> want = kreg::window_cv_profile_tiled(
@@ -506,15 +404,8 @@ TEST(BatchedHostProfile, DefaultsMatchTiledDefaults) {
   expect_bitwise_profiles(got, want);
 }
 
-TEST(BatchedHostProfile, RejectsBadLaneWidthAndBadGrid) {
+TEST(BatchedHostProfile, RejectsBadGrid) {
   const Dataset data = paper_data(32, 3);
-  const std::vector<double> grid = test_grid(4);
-  BatchedSweep batched;
-  batched.lane_width = 3;
-  EXPECT_THROW(kreg::window_cv_profile_batched(
-                   data, grid, KernelType::kEpanechnikov, Precision::kDouble,
-                   batched),
-               std::invalid_argument);
   const std::vector<double> bad_grid = {0.5, 0.5, 0.6};
   EXPECT_THROW(kreg::window_cv_profile_batched(data, bad_grid,
                                                KernelType::kEpanechnikov),
@@ -523,12 +414,11 @@ TEST(BatchedHostProfile, RejectsBadLaneWidthAndBadGrid) {
 
 // --- device batched kernels: bitwise parity --------------------------------
 
-SpmdSelectorConfig device_cfg(std::size_t lane_width, SigmaPolicy sigma,
+SpmdSelectorConfig device_cfg(std::size_t lane_width,
                               Precision precision = Precision::kDouble) {
   SpmdSelectorConfig cfg;
   cfg.precision = precision;
   cfg.lane_width = lane_width;
-  cfg.sigma = sigma;
   cfg.stream.auto_tune = false;  // pin the resident path unless overridden
   return cfg;
 }
@@ -544,22 +434,19 @@ void expect_same_selection(const SelectionResult& got,
 }
 
 // n = 700 with tpb = 512 gives a full block plus a ragged 188-row block, so
-// every lane width exercises tail dispatches and a short σ-scope.
-TEST(SpmdBatchedParity, ResidentBitwiseAcrossLaneWidthsAndSigma) {
-  const Dataset data = paper_data(700, 31);
+// the lane batch exercises a ragged tail dispatch.
+TEST(SpmdBatchedParity, ResidentBitwiseUniformAndClusteredX) {
   const BandwidthGrid grid(0.05, 1.2, 32);
   Device dev;
-  const SelectionResult want =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const std::size_t width : {4u, 8u, 16u}) {
-    for (const SigmaPolicy sigma : kAllPolicies) {
-      const SelectionResult got =
-          SpmdGridSelector(dev, device_cfg(width, sigma)).select(data, grid);
-      SCOPED_TRACE("C=" + std::to_string(width) +
-                   " sigma=" + std::string(kreg::to_string(sigma)));
-      expect_same_selection(got, want);
-    }
+  for (const bool clustered : {false, true}) {
+    const Dataset data =
+        clustered ? lane_dataset(true, 700, 31) : paper_data(700, 31);
+    const SelectionResult want =
+        SpmdGridSelector(dev, device_cfg(1)).select(data, grid);
+    const SelectionResult got =
+        SpmdGridSelector(dev, device_cfg(8)).select(data, grid);
+    SCOPED_TRACE(clustered ? "clustered X" : "uniform X");
+    expect_same_selection(got, want);
   }
 }
 
@@ -568,12 +455,11 @@ TEST(SpmdBatchedParity, ResidentBitwiseObservationMajorAndFloat) {
   const BandwidthGrid grid(0.05, 1.2, 24);
   Device dev;
   for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
-    SpmdSelectorConfig scalar = device_cfg(1, SigmaPolicy::kNone, precision);
+    SpmdSelectorConfig scalar = device_cfg(1, precision);
     scalar.layout = ResidualLayout::kObservationMajor;
     const SelectionResult want =
         SpmdGridSelector(dev, scalar).select(data, grid);
-    SpmdSelectorConfig batched =
-        device_cfg(8, SigmaPolicy::kPositionLength, precision);
+    SpmdSelectorConfig batched = device_cfg(8, precision);
     batched.layout = ResidualLayout::kObservationMajor;
     const SelectionResult got =
         SpmdGridSelector(dev, batched).select(data, grid);
@@ -581,19 +467,19 @@ TEST(SpmdBatchedParity, ResidentBitwiseObservationMajorAndFloat) {
   }
 }
 
+// Both forms of the carried pass — the lane batch and the scalar
+// kernels — must resume across k-blocks to the resident bits.
 TEST(SpmdBatchedParity, StreamedKblockBitwise) {
   const Dataset data = paper_data(600, 23);
   const BandwidthGrid grid(0.05, 1.2, 40);
   Device dev;
   const SelectionResult resident =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const SigmaPolicy sigma : kAllPolicies) {
-    SpmdSelectorConfig cfg = device_cfg(8, sigma);
+      SpmdGridSelector(dev, device_cfg(1)).select(data, grid);
+  for (const std::size_t width : {1u, 8u}) {
+    SpmdSelectorConfig cfg = device_cfg(width);
     cfg.stream.k_block = 8;
-    const SelectionResult got =
-        SpmdGridSelector(dev, cfg).select(data, grid);
-    SCOPED_TRACE("sigma=" + std::string(kreg::to_string(sigma)));
+    const SelectionResult got = SpmdGridSelector(dev, cfg).select(data, grid);
+    SCOPED_TRACE("lane_width=" + std::to_string(width));
     expect_same_selection(got, resident);
   }
 }
@@ -603,53 +489,38 @@ TEST(SpmdBatchedParity, Streamed2DTileBitwise) {
   const BandwidthGrid grid(0.05, 1.2, 32);
   Device dev;
   const SelectionResult resident =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const std::size_t width : {4u, 16u}) {
-    SpmdSelectorConfig cfg = device_cfg(width, SigmaPolicy::kPositionLength);
+      SpmdGridSelector(dev, device_cfg(1)).select(data, grid);
+  for (const std::size_t width : {1u, 8u}) {
+    SpmdSelectorConfig cfg = device_cfg(width);
     cfg.stream.k_block = 8;
     cfg.stream.n_block = 96;
-    const SelectionResult got =
-        SpmdGridSelector(dev, cfg).select(data, grid);
-    SCOPED_TRACE("C=" + std::to_string(width));
+    const SelectionResult got = SpmdGridSelector(dev, cfg).select(data, grid);
+    SCOPED_TRACE("lane_width=" + std::to_string(width));
     expect_same_selection(got, resident);
   }
 }
 
-TEST(SpmdBatchedParity, NameReportsLanesSigmaAndPrefetch) {
+TEST(SpmdBatchedParity, NameReportsLanes) {
   Device dev;
-  const std::string batched =
-      SpmdGridSelector(dev, device_cfg(8, SigmaPolicy::kLength)).name();
+  const std::string batched = SpmdGridSelector(dev, device_cfg(8)).name();
   EXPECT_NE(batched.find("lanes=8"), std::string::npos) << batched;
-  EXPECT_NE(batched.find("sigma=length"), std::string::npos) << batched;
-  const std::string poslen =
-      SpmdGridSelector(dev, device_cfg(8, SigmaPolicy::kPositionLength))
-          .name();
-  EXPECT_NE(poslen.find("sigma=position-length"), std::string::npos) << poslen;
-  const std::string no_sigma =
-      SpmdGridSelector(dev, device_cfg(4, SigmaPolicy::kNone)).name();
-  EXPECT_NE(no_sigma.find("lanes=4"), std::string::npos) << no_sigma;
-  EXPECT_EQ(no_sigma.find("sigma"), std::string::npos) << no_sigma;
-  EXPECT_EQ(no_sigma.find("prefetch"), std::string::npos) << no_sigma;
-  SpmdSelectorConfig pf = device_cfg(8, SigmaPolicy::kPositionLength);
-  pf.prefetch_distance = 6;
-  const std::string with_pf = SpmdGridSelector(dev, pf).name();
-  EXPECT_NE(with_pf.find("prefetch=6"), std::string::npos) << with_pf;
-  const std::string scalar =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kLength)).name();
+  const std::string scalar = SpmdGridSelector(dev, device_cfg(1)).name();
   EXPECT_EQ(scalar.find("lanes"), std::string::npos) << scalar;
 }
 
-TEST(SpmdBatchedParity, CtorRejectsBadLaneWidthAndBadPrefetch) {
+TEST(SpmdBatchedParity, CtorRejectsBadLaneWidth) {
   Device dev;
-  EXPECT_THROW(SpmdGridSelector(dev, device_cfg(5, SigmaPolicy::kLength)),
-               std::invalid_argument);
-  EXPECT_THROW(MultiDeviceGridSelector({&dev},
-                                       device_cfg(3, SigmaPolicy::kLength)),
-               std::invalid_argument);
-  SpmdSelectorConfig pf = device_cfg(8, SigmaPolicy::kPositionLength);
-  pf.prefetch_distance = kreg::kMaxPrefetchDistance + 1;
-  EXPECT_THROW(SpmdGridSelector(dev, pf), std::invalid_argument);
+  for (const std::size_t width : {0u, 2u, 4u, 16u}) {
+    SCOPED_TRACE("lane_width=" + std::to_string(width));
+    EXPECT_THROW(SpmdGridSelector(dev, device_cfg(width)),
+                 std::invalid_argument);
+    EXPECT_THROW(MultiDeviceGridSelector({&dev}, device_cfg(width)),
+                 std::invalid_argument);
+  }
+  for (const std::size_t width : {1u, 8u}) {
+    EXPECT_NO_THROW(SpmdGridSelector(dev, device_cfg(width)));
+    EXPECT_NO_THROW(MultiDeviceGridSelector({&dev}, device_cfg(width)));
+  }
 }
 
 TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
@@ -659,23 +530,24 @@ TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
   Device dev2;
   const std::vector<Device*> devices = {&dev1, &dev2};
   const SelectionResult want =
-      MultiDeviceGridSelector(devices, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const std::size_t width : {4u, 8u}) {
-    const SelectionResult got =
-        MultiDeviceGridSelector(
-            devices, device_cfg(width, SigmaPolicy::kPositionLength))
-            .select(data, grid);
-    SCOPED_TRACE("C=" + std::to_string(width));
-    expect_same_selection(got, want);
+      MultiDeviceGridSelector(devices, device_cfg(1)).select(data, grid);
+  const SelectionResult resident =
+      MultiDeviceGridSelector(devices, device_cfg(8)).select(data, grid);
+  expect_same_selection(resident, want);
+  // Slice-resident k-blocks, then both streaming dimensions on each
+  // device slice, in both forms of the pass.
+  for (const std::size_t width : {1u, 8u}) {
+    for (const std::size_t n_block : {0u, 64u}) {
+      SpmdSelectorConfig streamed = device_cfg(width);
+      streamed.stream.k_block = 8;
+      streamed.stream.n_block = n_block;
+      const SelectionResult got =
+          MultiDeviceGridSelector(devices, streamed).select(data, grid);
+      SCOPED_TRACE("lane_width=" + std::to_string(width) +
+                   " n_block=" + std::to_string(n_block));
+      expect_same_selection(got, want);
+    }
   }
-  // Force both streaming dimensions on each device slice.
-  SpmdSelectorConfig streamed = device_cfg(8, SigmaPolicy::kPositionLength);
-  streamed.stream.k_block = 8;
-  streamed.stream.n_block = 64;
-  const SelectionResult got =
-      MultiDeviceGridSelector(devices, streamed).select(data, grid);
-  expect_same_selection(got, want);
 }
 
 // --- lane kernels against the scalar resume ----------------------------------
@@ -686,21 +558,12 @@ TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
 
 enum class LaneKernel { kGeneric, kAvx512 };
 
-/// Sorted (X, Y): X uniform on [0, 1], or clustered — four tight clusters
-/// on a 1e-4 lattice, so exact duplicates (distance 0) occur too.
+/// lane_dataset, sorted in Scalar.
 template <class Scalar>
 kreg::SortedDataset<Scalar> lane_data(bool clustered, std::size_t n,
                                       std::uint64_t seed) {
-  Stream s(seed);
-  std::vector<double> x(n);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = clustered ? 0.25 * static_cast<double>(s.index(4)) +
-                           std::round(s.gaussian(0.0, 0.01) * 1e4) / 1e4
-                     : s.uniform();
-    y[i] = std::sin(6.0 * x[i]) + s.gaussian(0.0, 0.3);
-  }
-  return kreg::sort_dataset<Scalar>(x, y);
+  const Dataset d = lane_dataset(clustered, n, seed);
+  return kreg::sort_dataset<Scalar>(d.x, d.y);
 }
 
 template <class Scalar>
@@ -713,16 +576,17 @@ auto bits(Scalar v) {
 }
 
 /// Runs one lane kernel over every observation of a sorted dataset — in
-/// C-lane batches, the first half of the positions in order and the rest
+/// 8-lane batches, the first half of the positions in order and the rest
 /// shuffled (so both contiguous runs and gathers occur), with a ragged last
 /// batch — across two k-block slices resumed through batch_load/batch_store.
 /// Every residual and the carried lo/hi/moment state after each slice must
 /// equal window_sweep_resume's bit for bit, and both phase-2 step counters
 /// must fire.
-template <class Scalar, std::size_t C>
+template <class Scalar>
 void expect_lane_kernel_matches_scalar(LaneKernel which, KernelType kernel,
-                                       bool clustered, std::size_t prefetch) {
-  constexpr std::size_t n = 203;  // ragged last batch for C = 8 and 16
+                                       bool clustered) {
+  constexpr std::size_t C = kreg::kLaneWidth;
+  constexpr std::size_t n = 203;  // ragged last batch
   const kreg::SortedDataset<Scalar> sorted =
       lane_data<Scalar>(clustered, n, 5);
   const std::span<const Scalar> xs(sorted.x);
@@ -762,7 +626,7 @@ void expect_lane_kernel_matches_scalar(LaneKernel which, KernelType kernel,
           [&](std::size_t b, Scalar sq) { want[p * k + b0 + b] = sq; });
     }
     for (std::size_t g = 0; g < n; g += C) {
-      kreg::detail::LaneBatch<Scalar, C> st;
+      kreg::detail::LaneBatch<Scalar> st;
       st.lanes = std::min(C, n - g);
       for (std::size_t l = 0; l < st.lanes; ++l) {
         st.pos[l] = order[g + l];
@@ -779,11 +643,11 @@ void expect_lane_kernel_matches_scalar(LaneKernel which, KernelType kernel,
       };
       if (which == LaneKernel::kGeneric) {
         kreg::detail::batch_resume_generic(st, xs, ys, hs, poly, write,
-                                           prefetch, &stats);
+                                           &stats);
       } else {
 #if KREG_HAVE_BATCHED_AVX512
-        ASSERT_TRUE(kreg::detail::batch_resume_avx512(
-            st, xs, ys, hs, poly, write, prefetch, &stats));
+        ASSERT_TRUE(kreg::detail::batch_resume_avx512(st, xs, ys, hs, poly,
+                                                      write, &stats));
 #endif
       }
       kreg::detail::batch_store(st, std::span(lo), std::span(hi),
@@ -805,8 +669,8 @@ void expect_lane_kernel_matches_scalar(LaneKernel which, KernelType kernel,
   EXPECT_GT(stats.gather_steps, 0u);
 }
 
-/// Every sweepable kernel (1, 2, 3, 5 and 7 terms) × uniform/clustered X ×
-/// prefetch 0/4, at C = 8 and 16, for one precision.
+/// Every sweepable kernel (1, 2, 3, 5 and 7 terms) × uniform/clustered X,
+/// for one precision.
 template <class Scalar>
 void expect_lane_kernel_matrix(LaneKernel which) {
   for (const KernelType kernel :
@@ -814,15 +678,9 @@ void expect_lane_kernel_matrix(LaneKernel which) {
         KernelType::kEpanechnikov, KernelType::kBiweight,
         KernelType::kTriweight}) {
     for (const bool clustered : {false, true}) {
-      for (const std::size_t prefetch : {0u, 4u}) {
-        SCOPED_TRACE(std::string(kreg::to_string(kernel)) +
-                     (clustered ? ", clustered X" : ", uniform X") +
-                     ", prefetch " + std::to_string(prefetch));
-        expect_lane_kernel_matches_scalar<Scalar, 8>(which, kernel,
-                                                     clustered, prefetch);
-        expect_lane_kernel_matches_scalar<Scalar, 16>(which, kernel,
-                                                      clustered, prefetch);
-      }
+      SCOPED_TRACE(std::string(kreg::to_string(kernel)) +
+                   (clustered ? ", clustered X" : ", uniform X"));
+      expect_lane_kernel_matches_scalar<Scalar>(which, kernel, clustered);
     }
   }
 }

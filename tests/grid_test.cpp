@@ -1,16 +1,12 @@
 // Tests for the bandwidth grid: paper defaults, spacing, validation, the
 // device constant-memory cap, and zooming — plus the shared grid
 // validators every sweep front door calls (validate_bandwidth_grid and its
-// neighbor-count analogue for the k-NN sweep), and the batched-sweep
-// option parsers the CLI front door leans on (prefetch distance, σ
-// policy).
+// neighbor-count analogue for the k-NN sweep).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "core/batched_sweep.hpp"
 #include "core/grid.hpp"
 #include "core/validate_grid.hpp"
 #include "data/dgp.hpp"
@@ -172,82 +168,6 @@ TEST(ValidateNeighborGrid, RejectsCountsBeyondLeaveOneOut) {
                std::invalid_argument);
   EXPECT_THROW(kreg::validate_neighbor_grid(one, 0, "test"),
                std::invalid_argument);
-}
-
-TEST(ParsePrefetchDistance, AcceptsDigitsUpToCap) {
-  const struct {
-    const char* text;
-    std::size_t want;
-  } ok[] = {{"0", 0}, {"1", 1}, {"07", 7}, {"64", 64}, {"1024", 1024}};
-  for (const auto& row : ok) {
-    EXPECT_EQ(kreg::parse_prefetch_distance(row.text), row.want)
-        << "text=" << row.text;
-  }
-}
-
-TEST(ParsePrefetchDistance, RejectsGarbageNegativesAndOverflow) {
-  const char* bad[] = {"",      "-1",   "-0",  " 4",   "4 ",  "4x",
-                       "x4",    "0.5",  "+2",  "1e3",  "1025", "99999",
-                       "184467440737095516160"};
-  for (const char* text : bad) {
-    EXPECT_THROW(kreg::parse_prefetch_distance(text), std::invalid_argument)
-        << "text='" << text << "'";
-  }
-}
-
-TEST(ParsePrefetchDistance, ErrorNamesTheOffendingText) {
-  try {
-    kreg::parse_prefetch_distance("-3");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos);
-  }
-}
-
-TEST(ResolvePrefetchDistance, ExplicitValuesPassCapApplies) {
-  EXPECT_EQ(kreg::resolve_prefetch_distance(0), 0u);
-  EXPECT_EQ(kreg::resolve_prefetch_distance(16), 16u);
-  EXPECT_EQ(kreg::resolve_prefetch_distance(kreg::kMaxPrefetchDistance),
-            kreg::kMaxPrefetchDistance);
-  EXPECT_THROW(
-      kreg::resolve_prefetch_distance(kreg::kMaxPrefetchDistance + 1),
-      std::invalid_argument);
-}
-
-TEST(ResolvePrefetchDistance, SentinelConsultsEnvironment) {
-  // Unset / empty → off; set → parsed strictly (garbage throws).
-  ::unsetenv("KREG_PREFETCH_DIST");
-  EXPECT_EQ(kreg::resolve_prefetch_distance(kreg::kPrefetchFromEnv), 0u);
-  ::setenv("KREG_PREFETCH_DIST", "", 1);
-  EXPECT_EQ(kreg::resolve_prefetch_distance(kreg::kPrefetchFromEnv), 0u);
-  ::setenv("KREG_PREFETCH_DIST", "12", 1);
-  EXPECT_EQ(kreg::resolve_prefetch_distance(kreg::kPrefetchFromEnv), 12u);
-  ::setenv("KREG_PREFETCH_DIST", "nope", 1);
-  EXPECT_THROW(kreg::resolve_prefetch_distance(kreg::kPrefetchFromEnv),
-               std::invalid_argument);
-  ::unsetenv("KREG_PREFETCH_DIST");
-}
-
-TEST(ParseSigmaPolicy, TableOfAcceptedAndRejectedSpellings) {
-  EXPECT_EQ(kreg::parse_sigma_policy("none"), kreg::SigmaPolicy::kNone);
-  EXPECT_EQ(kreg::parse_sigma_policy("length"), kreg::SigmaPolicy::kLength);
-  EXPECT_EQ(kreg::parse_sigma_policy("position-length"),
-            kreg::SigmaPolicy::kPositionLength);
-  const char* bad[] = {"",        "None",   "LENGTH",       "pos",
-                       "position", "len",   "position_length", "sigma",
-                       " length", "length "};
-  for (const char* text : bad) {
-    EXPECT_THROW(kreg::parse_sigma_policy(text), std::invalid_argument)
-        << "text='" << text << "'";
-  }
-}
-
-TEST(ParseSigmaPolicy, ToStringRoundTripsEveryPolicy) {
-  for (const kreg::SigmaPolicy policy :
-       {kreg::SigmaPolicy::kNone, kreg::SigmaPolicy::kLength,
-        kreg::SigmaPolicy::kPositionLength}) {
-    EXPECT_EQ(kreg::parse_sigma_policy(kreg::to_string(policy)), policy);
-  }
 }
 
 }  // namespace

@@ -15,12 +15,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -31,6 +33,7 @@
 #include "core/grid.hpp"
 #include "core/job.hpp"
 #include "core/knn_sweep.hpp"
+#include "core/window_sweep.hpp"
 #include "data/dgp.hpp"
 #include "rng/stream.hpp"
 #include "serve/fingerprint.hpp"
@@ -205,7 +208,6 @@ TEST(CacheKeyTest, KnobsCollapseIntoBitwiseFamilies) {
   auto knobs = nw_device;
   knobs.stream.memory_budget_bytes = 1 << 16;
   knobs.stream.k_block = 3;
-  knobs.lane_width = 8;
   EXPECT_EQ(cache_key(nw_device), cache_key(knobs));
   SelectionJob nw_sweep = nw_device;
   nw_sweep.backend = JobBackend::kHostSweep;
@@ -483,7 +485,7 @@ TEST(ParseRequest, SelectDefaults) {
 TEST(ParseRequest, SelectFullLine) {
   const kreg::serve::Request request = kreg::serve::parse_request(
       "select estimator=oscv kernel=uniform precision=float dgp=paper "
-      "n=300 seed=42 grid=0.1:0.9:17 backend=tiled lane=8 budget=2MiB");
+      "n=300 seed=42 grid=0.1:0.9:17 backend=tiled budget=2MiB");
   EXPECT_EQ(request.estimator, EstimatorKind::kOscv);
   EXPECT_EQ(request.kernel, KernelType::kUniform);
   EXPECT_EQ(request.precision, Precision::kFloat);
@@ -494,7 +496,6 @@ TEST(ParseRequest, SelectFullLine) {
   EXPECT_EQ(request.grid.hi, 0.9);
   EXPECT_EQ(request.grid.count, 17u);
   EXPECT_EQ(request.backend, JobBackend::kHostTiled);
-  EXPECT_EQ(request.lane_width, 8u);
   EXPECT_EQ(request.budget_bytes, std::size_t{2} << 20);
 }
 
@@ -507,6 +508,7 @@ TEST(ParseRequest, RejectsMalformedSelects) {
       "select grid=1:2:3:4",      "select backend=gpu",
       "select precision=half",    "select kernel=boxcar",
       "select dgp=",              "select budget=1.5X",
+      "select lane=8",
   };
   for (const char* line : bad) {
     EXPECT_THROW(kreg::serve::parse_request(line), std::invalid_argument)
@@ -725,10 +727,10 @@ TEST(SchedulerTest, CoSchedulesCompatibleSmallJobsOntoOneLaunch) {
 }
 
 TEST(SchedulerTest, NwDeviceJobsNeverGridMerge) {
-  // The NW device sweep's lane batching composes lanes across the whole
-  // h-grid, so per-point bits depend on the grid's other members. Merging
-  // two NW grids would change both jobs' last-ulp bits; the scheduler must
-  // launch them separately, and each launch must match its solo run.
+  // An NW score's bits depend on the grid's other members (see
+  // NwSweepScoresDependOnTheOtherGridPoints). Merging two NW grids would
+  // change both jobs' last-ulp bits; the scheduler must launch them
+  // separately, and each launch must match its solo run.
   const auto data = make_data(96, 8);
   SelectionJob a = make_job(data);
   SelectionJob b = make_job(data);
@@ -745,6 +747,38 @@ TEST(SchedulerTest, NwDeviceJobsNeverGridMerge) {
   EXPECT_EQ(scheduler.stats().co_scheduled, 0u);
   expect_profiles_bitwise(oa.profile, direct_run(a));
   expect_profiles_bitwise(ob.profile, direct_run(b));
+}
+
+TEST(SchedulerTest, NwSweepScoresDependOnTheOtherGridPoints) {
+  // Why NW never grid-merges, shown on the sequential host sweep, which has
+  // no lanes and no device reduction. At each bandwidth the sweep admits
+  // the left run and then the right run into one set of moment sums. A
+  // merged grid point between two of a job's bandwidths splits both runs,
+  // so the same elements are added in another order and the score at the
+  // next shared bandwidth can change in its last bits. Same data and grids
+  // as the test above.
+  const auto data = make_data(96, 8);
+  const std::vector<double> a = make_job(data).bandwidth_grid;
+  const std::vector<double> b = kreg::BandwidthGrid(0.07, 0.8, 9).values();
+  std::vector<double> merged;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(merged));
+  for (const Precision precision : {Precision::kDouble, Precision::kFloat}) {
+    const std::vector<double> solo = kreg::window_cv_profile(
+        *data, a, KernelType::kEpanechnikov, precision);
+    const std::vector<double> joint = kreg::window_cv_profile(
+        *data, merged, KernelType::kEpanechnikov, precision);
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const auto at = std::lower_bound(merged.begin(), merged.end(), a[i]);
+      ASSERT_EQ(*at, a[i]);
+      changed += joint[static_cast<std::size_t>(at - merged.begin())] !=
+                         solo[i]
+                     ? 1
+                     : 0;
+    }
+    EXPECT_GT(changed, 0u) << kreg::to_string(precision);
+  }
 }
 
 TEST(SchedulerTest, CoScheduleLimitOneDisablesMerging) {

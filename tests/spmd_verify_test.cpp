@@ -364,9 +364,8 @@ TEST(VerifyProduction, BatchedLanesWithoutSigmaSortVerify) {
   const BandwidthGrid grid = BandwidthGrid::default_for(d, 12);
   SpmdSelectorConfig cfg;
   cfg.precision = Precision::kDouble;
-  cfg.lane_width = 8;
-  cfg.sigma = kreg::SigmaPolicy::kNone;  // identity lane order: affine
-                                         // addressing
+  cfg.lane_width = 8;  // consecutive observations per lane batch: affine
+                       // addressing
   const SelectionResult got = SpmdGridSelector(dev, cfg).select(d, grid);
   const SelectionResult want = SortedGridSelector().select(d, grid);
   EXPECT_DOUBLE_EQ(got.bandwidth, want.bandwidth);

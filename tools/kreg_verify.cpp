@@ -2,11 +2,12 @@
 // named production launch on the SPMD device.
 //
 // Each scenario drives one production backend (regression window sweep in
-// its scalar / lane-batched / k-block streamed / 2-D tiled forms, the KDE
-// LSCV sweep, the k-NN LOOCV sweep, the OSCV sweep) on a SymbolicDevice,
-// which traces every launch serially through the sanitizer's shadows and
-// proves its access families disjoint over two symbolic thread identities
-// (see src/spmd/verify/). Every scenario runs TWICE on different datasets:
+// its scalar and lane-batched forms, resident, k-block streamed and 2-D
+// tiled, on one device and sharded across two; the KDE LSCV sweep, the
+// k-NN LOOCV sweep, the OSCV sweep) on a SymbolicDevice, which traces
+// every launch serially through the sanitizer's shadows and proves its
+// access families disjoint over two symbolic thread identities (see
+// src/spmd/verify/). Every scenario runs TWICE on different datasets:
 // a launch whose conflict-relevant trace fingerprint differs across runs
 // has data-dependent addressing, and its "verified" is demoted to
 // "unproven" — the dynamic sanitizer (ctest -L sanitize) remains the
@@ -32,6 +33,7 @@
 
 #include "core/grid.hpp"
 #include "core/knn_sweep.hpp"
+#include "core/multi_device_selector.hpp"
 #include "core/oscv_sweep.hpp"
 #include "core/spmd_kde.hpp"
 #include "core/spmd_selector.hpp"
@@ -80,32 +82,26 @@ std::vector<Scenario> scenarios() {
   SpmdSelectorConfig scalar;
   scalar.precision = Precision::kDouble;
   scalar.lane_width = 1;
-  SpmdSelectorConfig batched_c4 = scalar;
-  batched_c4.lane_width = 4;
-  batched_c4.sigma = kreg::SigmaPolicy::kNone;
   SpmdSelectorConfig batched_c8 = scalar;
   batched_c8.lane_width = 8;
-  batched_c8.sigma = kreg::SigmaPolicy::kNone;
-  SpmdSelectorConfig batched_c16 = scalar;
-  batched_c16.lane_width = 16;
-  batched_c16.sigma = kreg::SigmaPolicy::kNone;
-  SpmdSelectorConfig batched_sorted = scalar;
-  batched_sorted.lane_width = 8;
-  // data-dependent lane order: demotes
-  batched_sorted.sigma = kreg::SigmaPolicy::kLength;
-  SpmdSelectorConfig batched_poslen = scalar;
-  batched_poslen.lane_width = 8;
-  // two-key (position, length) order + contiguous-run transpose path +
-  // software prefetch: exercises the locality-blocked batched launches
-  batched_poslen.sigma = kreg::SigmaPolicy::kPositionLength;
-  batched_poslen.prefetch_distance = 4;
-  SpmdSelectorConfig batched_poslen_c16 = batched_poslen;
-  batched_poslen_c16.lane_width = 16;
   SpmdSelectorConfig kblock = scalar;
   kblock.stream.k_block = 5;
   SpmdSelectorConfig tiled = scalar;
   tiled.stream.k_block = 5;
   tiled.stream.n_block = 96;
+  SpmdSelectorConfig batched_kblock = kblock;
+  batched_kblock.lane_width = 8;
+  SpmdSelectorConfig batched_tiled = tiled;
+  batched_tiled.lane_width = 8;
+
+  // Two shards on one device: every slice launch is traced on the same
+  // SymbolicDevice, so both slices' launches land in the ledger.
+  const auto multi = [](SpmdSelectorConfig cfg) {
+    return [cfg](SymbolicDevice& dev, const Dataset& d) {
+      const BandwidthGrid grid = BandwidthGrid::default_for(d, 12);
+      (void)kreg::MultiDeviceGridSelector({&dev, &dev}, cfg).select(d, grid);
+    };
+  };
 
   const auto kde = [](SpmdKdeConfig cfg) {
     return [cfg](SymbolicDevice& dev, const Dataset& d) {
@@ -141,14 +137,14 @@ std::vector<Scenario> scenarios() {
 
   return {
       {"regress_scalar", regress(scalar)},
-      {"regress_batched_c4", regress(batched_c4)},
       {"regress_batched_c8", regress(batched_c8)},
-      {"regress_batched_c16", regress(batched_c16)},
-      {"regress_batched_sigma_sorted", regress(batched_sorted)},
-      {"regress_batched_position_length", regress(batched_poslen)},
-      {"regress_batched_position_length_c16", regress(batched_poslen_c16)},
       {"regress_kblock_streamed", regress(kblock)},
       {"regress_2d_tiled", regress(tiled)},
+      {"regress_batched_kblock_streamed", regress(batched_kblock)},
+      {"regress_batched_2d_tiled", regress(batched_tiled)},
+      {"multi_device_kblock", multi(batched_kblock)},
+      {"multi_device_2d_tiled", multi(batched_tiled)},
+      {"multi_device_scalar_2d_tiled", multi(tiled)},
       {"kde_resident", kde(kde_resident)},
       {"kde_kblock_streamed", kde(kde_kblock)},
       {"kde_2d_tiled", kde(kde_tiled)},
