@@ -11,14 +11,16 @@
 //   --estimator nw|knn|oscv (default nw). nw: Nadaraya–Watson with the
 //             LOO-CV bandwidth grid search. knn: k-NN regression, the
 //             neighbour count selected by exact fast LOOCV over a k-grid
-//             (methods window|parallel|tiled|spmd|naive). oscv: NW with
-//             the bandwidth selected by one-sided CV and reported as the
+//             (methods window|tiled|spmd|naive). oscv: NW with the
+//             bandwidth selected by one-sided CV and reported as the
 //             rescaled h = C*b (same methods as knn).
 //   --method  sorted|window|tiled|parallel|naive|dense|spmd|spmd-per-row|
 //             optimizer|silverman|scott (default sorted; spmd runs the
 //             window sweep, spmd-per-row the paper-faithful per-thread
 //             sort, tiled the cache-blocked host mirror of the streamed
-//             device sweep)
+//             device sweep — the multicore window sweep, same bits on any
+//             core count — and parallel the per-row sort on the pool,
+//             nw only)
 //   --kernel  epanechnikov|uniform|triangular|biweight|triweight|cosine|
 //             gaussian (default epanechnikov)
 //   --k       grid size (default 200)
@@ -49,7 +51,7 @@ namespace {
                "  [--estimator nw|knn|oscv]\n"
                "  [--method sorted|window|tiled|parallel|naive|dense|spmd|"
                "spmd-per-row|optimizer|silverman|scott]\n"
-               "  (knn/oscv support window|parallel|tiled|spmd|naive)\n"
+               "  (knn/oscv support window|tiled|spmd|naive)\n"
                "  [--kernel epanechnikov|uniform|triangular|biweight|"
                "triweight|cosine|gaussian]\n"
                "  [--k K] [--hmin H] [--hmax H] [--refine] [--curve N]\n"
@@ -70,22 +72,11 @@ class TiledWindowSelector final : public kreg::Selector {
 
   kreg::SelectionResult select(const kreg::data::Dataset& data,
                                const kreg::BandwidthGrid& grid) const override {
-    const std::vector<double> scores = kreg::window_cv_profile_batched(
-        data, grid.values(), kernel_, kreg::Precision::kDouble, tiling_);
-    std::size_t best = 0;
-    for (std::size_t b = 1; b < scores.size(); ++b) {
-      if (scores[b] < scores[best]) {
-        best = b;
-      }
-    }
-    kreg::SelectionResult result;
-    result.bandwidth = grid[best];
-    result.cv_score = scores[best];
-    result.grid = grid.values();
-    result.scores = scores;
-    result.evaluations = grid.size();
-    result.method = name();
-    return result;
+    return kreg::selection_from_profile(
+        grid,
+        kreg::window_cv_profile_batched(data, grid.values(), kernel_,
+                                        kreg::Precision::kDouble, tiling_),
+        name());
   }
 
   std::string name() const override {
@@ -181,8 +172,8 @@ int main(int argc, char** argv) {
   try {
     kreg::data::Dataset data;
     if (demo_n > 0) {
-      kreg::rng::Stream stream(2017);
-      data = kreg::data::paper_dgp(demo_n, stream);
+      kreg::rng::Stream rng(2017);
+      data = kreg::data::paper_dgp(demo_n, rng);
       std::printf("demo mode: generated %zu paper-DGP observations\n",
                   demo_n);
     } else {
@@ -217,9 +208,6 @@ int main(int argc, char** argv) {
       if (method == "window") {
         scores = kreg::knn_cv_profile(data, kgrid);
         method_name = "knn-window-sweep";
-      } else if (method == "parallel") {
-        scores = kreg::knn_cv_profile_parallel(data, kgrid);
-        method_name = "knn-window-sweep-parallel";
       } else if (method == "tiled") {
         scores = kreg::knn_cv_profile_tiled(
             data, kgrid, kreg::Precision::kDouble,
@@ -287,9 +275,6 @@ int main(int argc, char** argv) {
       if (method == "window") {
         scores = kreg::oscv_profile(data, grid.values(), kernel);
         method_name = "oscv-sweep";
-      } else if (method == "parallel") {
-        scores = kreg::oscv_profile_parallel(data, grid.values(), kernel);
-        method_name = "oscv-sweep-parallel";
       } else if (method == "tiled") {
         scores = kreg::oscv_profile_tiled(
             data, grid.values(), kernel, kreg::Precision::kDouble,

@@ -91,13 +91,13 @@ std::vector<std::uint32_t> sigma_batch_order(
 
 namespace {
 
-/// The batched mirror of window_sweep.cpp's profile_tiled: same tiling
-/// defaults, same tile-order combination, same per-tile ascending-row fold
-/// into the accumulator — only the per-row sweep is replaced by lane
-/// batches of kLaneWidth consecutive rows staging their residuals in a
-/// tile-local buffer. Because the fold visits buffered residuals in exactly
-/// the (row, b) order the scalar tiled kernel adds them, the profile is
-/// bitwise identical to the scalar one.
+/// The batched mirror of detail::tiled_profile (window_drivers.hpp) over
+/// NwWindow: same tiling defaults and clamps, same tile-order combination,
+/// same per-tile ascending-row fold into the accumulator — only the
+/// per-row sweep is replaced by lane batches of kLaneWidth consecutive
+/// rows staging their residuals in a tile-local buffer. Because the fold
+/// visits buffered residuals in exactly the (row, b) order the scalar tiled
+/// kernel adds them, the profile is bitwise identical to the scalar one.
 template <class Scalar>
 std::vector<double> profile_batched(const data::Dataset& data,
                                     std::span<const double> grid,
@@ -111,10 +111,10 @@ std::vector<double> profile_batched(const data::Dataset& data,
   if (pool == nullptr) {
     pool = &parallel::ThreadPool::global();
   }
-  const std::size_t n_block = tiling.n_block != 0 ? tiling.n_block : 2048;
-  const std::size_t k_block = tiling.k_block != 0
-                                  ? std::min(tiling.k_block, k)
-                                  : std::min<std::size_t>(64, k);
+  const std::size_t n_block =
+      std::min(tiling.n_block != 0 ? tiling.n_block : 2048, n);
+  const std::size_t k_block =
+      std::min(tiling.k_block != 0 ? tiling.k_block : 64, k);
 
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const std::vector<Scalar> host_grid(grid.begin(), grid.end());

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <span>
 
-#include "core/detail/kde_polynomials.hpp"
 #include "core/kernels.hpp"
 #include "sort/iterative_quicksort.hpp"
 #include "sort/partition.hpp"
@@ -295,20 +294,6 @@ inline void knn_sweep_resume(std::span<const Scalar> xs_sorted,
   }
 }
 
-/// The whole-grid k-NN sweep: seed + resume with thread-local state.
-template <class Scalar, class KView, class WriteResid>
-inline void knn_sweep_thread(std::span<const Scalar> xs_sorted,
-                             std::span<const Scalar> ys_sorted, KView ks,
-                             std::size_t pos, WriteResid&& write) {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  Scalar sum_left{};
-  Scalar sum_right{};
-  knn_sweep_seed<Scalar>(pos, lo, hi, sum_left, sum_right);
-  knn_sweep_resume<Scalar>(xs_sorted, ys_sorted, ks, pos, lo, hi, sum_left,
-                           sum_right, std::forward<WriteResid>(write));
-}
-
 /// ---- One-sided CV (OSCV) window sweep ----------------------------------
 ///
 /// One-sided kernels are *asymmetric admission windows*: the left-sided
@@ -429,25 +414,6 @@ inline void oscv_sweep_resume(std::span<const Scalar> xs_sorted,
   }
 }
 
-/// The whole-grid one-sided sweep: seed + resume with thread-local state.
-template <class Scalar, class HView, class WriteResid>
-inline void oscv_sweep_thread(std::span<const Scalar> xs_sorted,
-                              std::span<const Scalar> ys_sorted, HView hs,
-                              const SweepPolynomial& poly, std::size_t pos,
-                              WriteResid&& write) {
-  Scalar m_q[kOscvMaxMoments] = {};
-  Scalar n_q[kOscvMaxMoments] = {};
-  const std::size_t moments = oscv_moment_count(poly);
-  std::size_t lo = 0;
-  std::size_t count = 0;
-  oscv_sweep_seed<Scalar>(pos, lo, count, std::span<Scalar>(m_q, moments),
-                          std::span<Scalar>(n_q, moments));
-  oscv_sweep_resume<Scalar>(xs_sorted, ys_sorted, hs, poly, pos, lo, count,
-                            std::span<Scalar>(m_q, moments),
-                            std::span<Scalar>(n_q, moments),
-                            std::forward<WriteResid>(write));
-}
-
 /// Halo bounds for n-block streaming (host-side; the data is sorted on the
 /// host before upload, so the slab a block needs is a binary search away —
 /// no device out-of-core sort).
@@ -518,83 +484,6 @@ inline std::size_t max_halo_span(std::span<const Scalar> xs_sorted,
     widest = std::max(widest, end - begin);
   }
   return widest;
-}
-
-/// The whole-grid window sweep: seed + resume over all k bandwidths with
-/// thread-local state. This is the resident (non-streamed) kernel body.
-template <class Scalar, class HView, class WriteResid>
-inline void window_sweep_thread(std::span<const Scalar> xs_sorted,
-                                std::span<const Scalar> ys_sorted,
-                                HView hs,
-                                const SweepPolynomial& poly, std::size_t pos,
-                                WriteResid&& write) {
-  Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-  Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-  const std::size_t terms = poly.max_power + 1;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  window_sweep_seed<Scalar>(ys_sorted, pos, lo, hi,
-                            std::span<Scalar>(s_m, terms),
-                            std::span<Scalar>(t_m, terms));
-  window_sweep_resume<Scalar>(xs_sorted, ys_sorted, hs, poly, pos, lo, hi,
-                              std::span<Scalar>(s_m, terms),
-                              std::span<Scalar>(t_m, terms),
-                              std::forward<WriteResid>(write));
-}
-
-/// The window-sweep body of the device KDE LSCV kernel for one thread: the
-/// KDE counterpart of window_sweep_thread. Instead of filling and
-/// quicksorting a private |Δ| row, the thread indexes the *globally sorted*
-/// X (sorted once on the host before launch) with **two** admission windows
-/// per `kde_window_lscv_profile`: |Δ| ≤ h feeds the leave-one-out K sum and
-/// |Δ| ≤ 2h feeds the K̄ = K*K convolution sum, each a pair of monotone
-/// pointers growing outward across the ascending bandwidth grid.
-///
-/// Per observation this costs O(k + admitted) with O(1) extra memory — no
-/// O(n) private row, no per-thread sort — so the device drops the n×n row
-/// matrix that capped the per-row KDE selector's sample size.
-/// `write(b, conv, loo)` receives both per-bandwidth pair sums (self term
-/// already excluded) for every bandwidth index b in ascending order; the
-/// caller combines them into LSCV partials in whatever layout it wants.
-///
-/// Like the regression sweep above, the body is split for k-block
-/// streaming: `kde_window_sweep_resume` carries the two WindowMomentSweep
-/// states in caller storage and sweeps any ascending slice of the grid,
-/// continuing where the previous slice stopped — streamed LSCV partials
-/// match the resident ones bitwise.
-template <class HView, class WriteSums>
-inline void kde_window_sweep_resume(std::span<const double> xs_sorted,
-                                    HView hs,
-                                    const SupportPolynomial& kpoly,
-                                    const SupportPolynomial& cpoly,
-                                    std::size_t pos,
-                                    WindowMomentSweep& conv_sweep,
-                                    WindowMomentSweep& loo_sweep,
-                                    WriteSums&& write) {
-  const double xi = xs_sorted[pos];
-  const std::size_t max_power = std::max(kpoly.max_power, cpoly.max_power);
-  for (std::size_t b = 0; b < hs.size(); ++b) {
-    const double h = hs[b];
-    conv_sweep.expand(xs_sorted, xi, cpoly.support_scale * h, max_power);
-    loo_sweep.expand(xs_sorted, xi, kpoly.support_scale * h, max_power);
-    write(b, conv_sweep.combine(cpoly, h), loo_sweep.combine(kpoly, h));
-  }
-}
-
-/// The whole-grid KDE window sweep: seeds both admission windows and
-/// resumes over all k bandwidths with thread-local state.
-template <class HView, class WriteSums>
-inline void kde_window_sweep_thread(std::span<const double> xs_sorted,
-                                    HView hs,
-                                    const SupportPolynomial& kpoly,
-                                    const SupportPolynomial& cpoly,
-                                    std::size_t pos, WriteSums&& write) {
-  WindowMomentSweep conv_sweep;  // admits |Δ| <= 2h
-  WindowMomentSweep loo_sweep;   // admits |Δ| <= h
-  conv_sweep.seed(pos);
-  loo_sweep.seed(pos);
-  kde_window_sweep_resume(xs_sorted, hs, kpoly, cpoly, pos, conv_sweep,
-                          loo_sweep, std::forward<WriteSums>(write));
 }
 
 }  // namespace kreg::detail

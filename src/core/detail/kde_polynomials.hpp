@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <span>
@@ -58,9 +59,8 @@ inline constexpr std::size_t kKdeMaxMoment = 5;
 /// Σ_m coeff[m] h^(−m) (sums[m] − self_m): the self term (distance 0,
 /// always admitted) contributes 1 to moment 0 only. Shared recombination of
 /// the prefix-pointer and window moment accumulators.
-inline double combine_moments(
-    const std::array<double, kKdeMaxMoment + 1>& sums,
-    const SupportPolynomial& poly, double h) {
+inline double combine_moments(std::span<const double, kKdeMaxMoment + 1> sums,
+                              const SupportPolynomial& poly, double h) {
   double acc = 0.0;
   const double inv_h = 1.0 / h;
   double inv_pow = 1.0;
@@ -100,16 +100,19 @@ struct MomentSweep {
 
 /// Running moment sums Σ|Δ|^m over a contiguous window of the *globally
 /// sorted* X array around one observation — the window-sweep counterpart of
-/// MomentSweep. Seeded with the self term; the left and right pointers only
-/// move outward as the admission limit grows across the ascending grid, so
-/// each observation contributes O(k + admitted) work with no per-row sort.
+/// MomentSweep, as a view over carried state (KdeWindow keeps two of them
+/// in one WindowState). Seeded with the self term; the left and right
+/// pointers only move outward as the admission limit grows across the
+/// ascending grid, so each observation contributes O(k + admitted) work
+/// with no per-row sort.
 struct WindowMomentSweep {
-  std::array<double, kKdeMaxMoment + 1> sums{};
-  std::size_t lo = 0;  ///< inclusive left edge of the admitted window
-  std::size_t hi = 0;  ///< inclusive right edge
+  std::size_t& lo;  ///< inclusive left edge of the admitted window
+  std::size_t& hi;  ///< inclusive right edge
+  std::span<double, kKdeMaxMoment + 1> sums;
 
   void seed(std::size_t pos) {
     lo = hi = pos;
+    std::fill(sums.begin(), sums.end(), 0.0);
     sums[0] = 1.0;  // self term: |Δ| = 0 contributes to moment 0 only
   }
 

@@ -18,15 +18,15 @@ namespace kreg {
 /// *schedule-invariant*: its profile does not depend on the executing
 /// thread pool's size or on what else runs concurrently, which is the
 /// property the serving layer's bitwise cache/replay contract rests on.
-/// (The slice-parallel host profiles are deliberately absent — their slice
-/// boundaries follow the pool size, so two pools could disagree in the
-/// last bits.)
+/// Each estimator is one window policy (detail/window_policy.hpp) run by
+/// the shared drivers, so the contract holds for nw, knn and oscv alike.
 enum class JobBackend {
   /// Sequential host window sweep (window_cv_profile and friends).
   kHostSweep,
-  /// Cache-blocked host sweep (window_cv_profile_tiled): tiles combine in
-  /// tile order with fixed auto tile sizes, so the profile is identical
-  /// for every pool size — including 1.
+  /// Cache-blocked host sweep (window_cv_profile_tiled and friends): tiles
+  /// combine in tile order with fixed auto tile sizes, so the profile is
+  /// identical for every pool size — including 1 (TiledPools in
+  /// knn_sweep_test holds this on pools of 1, 2 and 4 workers).
   kHostTiled,
   /// The SPMD device sweep, with the streaming knobs honored.
   kDevice,

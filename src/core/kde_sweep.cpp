@@ -1,12 +1,12 @@
 #include "core/kde_sweep.hpp"
 
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "core/detail/kde_polynomials.hpp"
+#include "core/detail/window_policy.hpp"
+#include "core/selectors.hpp"
 #include "core/validate_grid.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sort/introsort.hpp"
@@ -51,31 +51,6 @@ void sweep_observation_kde(std::span<const double> xs, std::size_t i,
     const double h = grid[b];
     conv_sweep.admit_through(row_scratch, cpoly.support_scale * h, max_power);
     loo_sweep.admit_through(row_scratch, kpoly.support_scale * h, max_power);
-    conv_totals[b] += conv_sweep.combine(cpoly, h);
-    loo_totals[b] += loo_sweep.combine(kpoly, h);
-  }
-}
-
-/// Window-sweep counterpart of sweep_observation_kde: the two admission
-/// windows (K at |Δ| ≤ h, K̄ at |Δ| ≤ 2h) grow outward from the
-/// observation's position in the globally sorted X array — no per-row
-/// distance materialization, no per-row sort.
-void window_observation_kde(std::span<const double> xs_sorted, std::size_t pos,
-                            std::span<const double> grid,
-                            const detail::SupportPolynomial& kpoly,
-                            const detail::SupportPolynomial& cpoly,
-                            std::span<double> conv_totals,
-                            std::span<double> loo_totals) {
-  const double xi = xs_sorted[pos];
-  detail::WindowMomentSweep conv_sweep;  // admits |Δ| <= 2h
-  detail::WindowMomentSweep loo_sweep;   // admits |Δ| <= h
-  conv_sweep.seed(pos);
-  loo_sweep.seed(pos);
-  const std::size_t max_power = std::max(kpoly.max_power, cpoly.max_power);
-  for (std::size_t b = 0; b < grid.size(); ++b) {
-    const double h = grid[b];
-    conv_sweep.expand(xs_sorted, xi, cpoly.support_scale * h, max_power);
-    loo_sweep.expand(xs_sorted, xi, kpoly.support_scale * h, max_power);
     conv_totals[b] += conv_sweep.combine(cpoly, h);
     loo_totals[b] += loo_sweep.combine(kpoly, h);
   }
@@ -164,92 +139,30 @@ std::vector<double> kde_window_lscv_profile(std::span<const double> xs,
                                             std::span<const double> grid,
                                             KernelType kernel) {
   check_inputs(xs, grid, kernel);
-  const detail::SupportPolynomial kpoly = detail::kde_kernel_poly(kernel);
-  const detail::SupportPolynomial cpoly = detail::kde_convolution_poly(kernel);
-
   // One global sort; every observation's windows index into it.
   std::vector<double> sorted_x(xs.begin(), xs.end());
   sort::introsort(std::span<double>(sorted_x));
+  const detail::KdeWindow sweep{sorted_x, detail::kde_kernel_poly(kernel),
+                                detail::kde_convolution_poly(kernel)};
 
   std::vector<double> conv_totals(grid.size(), 0.0);
   std::vector<double> loo_totals(grid.size(), 0.0);
   for (std::size_t pos = 0; pos < sorted_x.size(); ++pos) {
-    window_observation_kde(sorted_x, pos, grid, kpoly, cpoly, conv_totals,
-                           loo_totals);
+    detail::KdeWindow::State st{};
+    sweep.seed(pos, st);
+    sweep.resume(grid, pos, st, [&](std::size_t b, double conv, double loo) {
+      conv_totals[b] += conv;
+      loo_totals[b] += loo;
+    });
   }
   return assemble_scores(grid, conv_totals, loo_totals, roughness(kernel),
                          xs.size());
 }
-
-std::vector<double> kde_window_lscv_profile_parallel(
-    std::span<const double> xs, std::span<const double> grid,
-    KernelType kernel, parallel::ThreadPool* pool) {
-  check_inputs(xs, grid, kernel);
-  const detail::SupportPolynomial kpoly = detail::kde_kernel_poly(kernel);
-  const detail::SupportPolynomial cpoly = detail::kde_convolution_poly(kernel);
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-
-  std::vector<double> sorted_x(xs.begin(), xs.end());
-  sort::introsort(std::span<double>(sorted_x));
-
-  const std::vector<parallel::BlockedRange> slices =
-      parallel::partition_evenly(xs.size(), pool->size());
-  std::vector<std::vector<double>> conv_parts(
-      slices.size(), std::vector<double>(grid.size(), 0.0));
-  std::vector<std::vector<double>> loo_parts(
-      slices.size(), std::vector<double>(grid.size(), 0.0));
-
-  parallel::parallel_for(
-      slices.size(),
-      [&](std::size_t s) {
-        for (std::size_t pos = slices[s].begin; pos < slices[s].end; ++pos) {
-          window_observation_kde(sorted_x, pos, grid, kpoly, cpoly,
-                                 conv_parts[s], loo_parts[s]);
-        }
-      },
-      pool);
-
-  std::vector<double> conv_totals(grid.size(), 0.0);
-  std::vector<double> loo_totals(grid.size(), 0.0);
-  for (std::size_t s = 0; s < slices.size(); ++s) {
-    for (std::size_t b = 0; b < grid.size(); ++b) {
-      conv_totals[b] += conv_parts[s][b];
-      loo_totals[b] += loo_parts[s][b];
-    }
-  }
-  return assemble_scores(grid, conv_totals, loo_totals, roughness(kernel),
-                         xs.size());
-}
-
-namespace {
-
-SelectionResult kde_selection_from_scores(const BandwidthGrid& grid,
-                                          std::vector<double> scores,
-                                          std::string method) {
-  std::size_t best = 0;
-  for (std::size_t b = 1; b < scores.size(); ++b) {
-    if (scores[b] < scores[best]) {
-      best = b;
-    }
-  }
-  SelectionResult result;
-  result.bandwidth = grid[best];
-  result.cv_score = scores[best];
-  result.grid = grid.values();
-  result.scores = std::move(scores);
-  result.evaluations = result.grid.size();
-  result.method = std::move(method);
-  return result;
-}
-
-}  // namespace
 
 SelectionResult kde_select_sweep(std::span<const double> xs,
                                  const BandwidthGrid& grid,
                                  KernelType kernel) {
-  return kde_selection_from_scores(
+  return selection_from_profile(
       grid, kde_sweep_lscv_profile(xs, grid.values(), kernel),
       "kde-lscv-sweep(" + std::string(to_string(kernel)) + ")");
 }
@@ -257,7 +170,7 @@ SelectionResult kde_select_sweep(std::span<const double> xs,
 SelectionResult kde_select_window(std::span<const double> xs,
                                   const BandwidthGrid& grid,
                                   KernelType kernel) {
-  return kde_selection_from_scores(
+  return selection_from_profile(
       grid, kde_window_lscv_profile(xs, grid.values(), kernel),
       "kde-lscv-window(" + std::string(to_string(kernel)) + ")");
 }

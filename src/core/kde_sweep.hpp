@@ -53,15 +53,11 @@ std::vector<double> kde_sweep_lscv_profile_parallel(
 /// same fast-sum-updating argument as the regression window sweep, since K
 /// and K̄ = K*K are both compact polynomials. O(n log n + n·(k + admitted))
 /// total instead of the per-row-sort O(n² log n); identical profile up to
-/// floating-point recombination error.
+/// floating-point recombination error. The sweep is detail::KdeWindow
+/// (detail/window_policy.hpp), the policy the device window passes run.
 std::vector<double> kde_window_lscv_profile(std::span<const double> xs,
                                             std::span<const double> grid,
                                             KernelType kernel);
-
-/// Same window profile with observations distributed across a thread pool.
-std::vector<double> kde_window_lscv_profile_parallel(
-    std::span<const double> xs, std::span<const double> grid,
-    KernelType kernel, parallel::ThreadPool* pool = nullptr);
 
 /// Grid selection using the sweep profile (argmin, smallest-index ties).
 SelectionResult kde_select_sweep(std::span<const double> xs,

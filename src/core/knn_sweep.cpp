@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "core/detail/device_sweep.hpp"
+#include "core/detail/window_drivers.hpp"
+#include "core/detail/window_policy.hpp"
 #include "core/validate_grid.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace kreg {
 
@@ -24,137 +23,15 @@ void check_knn_inputs(const data::Dataset& data,
 }
 
 template <class Scalar>
-std::vector<double> profile_sequential(const data::Dataset& data,
-                                       std::span<const std::size_t> kgrid) {
-  const std::size_t n = data.size();
+std::vector<double> profile(const data::Dataset& data,
+                            std::span<const std::size_t> kgrid,
+                            const HostTiling* tiling,
+                            parallel::ThreadPool* pool) {
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-
-  std::vector<double> totals(kgrid.size(), 0.0);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    detail::knn_sweep_thread<Scalar>(
-        std::span<const Scalar>(sorted.x), std::span<const Scalar>(sorted.y),
-        kgrid, pos, [&](std::size_t b, Scalar sq) {
-          totals[b] += static_cast<double>(sq);
-        });
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
-}
-
-template <class Scalar>
-std::vector<double> profile_parallel(const data::Dataset& data,
-                                     std::span<const std::size_t> kgrid,
-                                     parallel::ThreadPool* pool) {
-  const std::size_t n = data.size();
-  const std::size_t k = kgrid.size();
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
-
-  // Private per-slice accumulators combined in slice order: deterministic
-  // regardless of scheduling, and every (pos, b) residual is bit-identical
-  // to the sequential sweep's — only the per-b summation regroups across
-  // slice boundaries (bitwise equal when one slice covers n).
-  const std::vector<parallel::BlockedRange> slices =
-      parallel::partition_evenly(n, pool->size());
-  std::vector<std::vector<double>> partials(slices.size(),
-                                            std::vector<double>(k, 0.0));
-  parallel::parallel_for(
-      slices.size(),
-      [&](std::size_t s) {
-        std::vector<double>& acc = partials[s];
-        for (std::size_t pos = slices[s].begin; pos < slices[s].end; ++pos) {
-          detail::knn_sweep_thread<Scalar>(xs, ys, kgrid, pos,
-                                           [&](std::size_t b, Scalar sq) {
-                                             acc[b] += static_cast<double>(sq);
-                                           });
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
-}
-
-template <class Scalar>
-std::vector<double> profile_tiled(const data::Dataset& data,
-                                  std::span<const std::size_t> kgrid,
-                                  HostTiling tiling,
-                                  parallel::ThreadPool* pool) {
-  const std::size_t n = data.size();
-  const std::size_t k = kgrid.size();
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-  // The k-NN carry is two pointers + two side sums per observation — far
-  // under the bandwidth sweep's ≲128 B model — so the same auto tile sizes
-  // are comfortably cache-resident.
-  const std::size_t n_block = tiling.n_block != 0 ? tiling.n_block : 2048;
-  const std::size_t k_block = tiling.k_block != 0
-                                  ? std::min(tiling.k_block, k)
-                                  : std::min<std::size_t>(64, k);
-
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
-
-  const std::size_t tiles = (n + n_block - 1) / n_block;
-  std::vector<std::vector<double>> partials(tiles,
-                                            std::vector<double>(k, 0.0));
-  parallel::parallel_for(
-      tiles,
-      [&](std::size_t tile) {
-        const std::size_t begin = tile * n_block;
-        const std::size_t nb = std::min(n_block, n - begin);
-        std::vector<double>& acc = partials[tile];
-
-        std::vector<std::size_t> lo(nb);
-        std::vector<std::size_t> hi(nb);
-        std::vector<Scalar> sum_l(nb);
-        std::vector<Scalar> sum_r(nb);
-        for (std::size_t r = 0; r < nb; ++r) {
-          detail::knn_sweep_seed<Scalar>(begin + r, lo[r], hi[r], sum_l[r],
-                                         sum_r[r]);
-        }
-
-        // k-blocks innermost, ascending (the windows are monotone in k).
-        for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
-          const std::size_t kb = std::min(k_block, k - b0);
-          const std::span<const std::size_t> ks = kgrid.subspan(b0, kb);
-          for (std::size_t r = 0; r < nb; ++r) {
-            detail::knn_sweep_resume<Scalar>(
-                xs, ys, ks, begin + r, lo[r], hi[r], sum_l[r], sum_r[r],
-                [&](std::size_t b, Scalar sq) {
-                  acc[b0 + b] += static_cast<double>(sq);
-                });
-          }
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
+  const detail::KnnWindow<Scalar> sweep{sorted.x, sorted.y};
+  return tiling == nullptr
+             ? detail::sequential_profile(sweep, kgrid)
+             : detail::tiled_profile(sweep, kgrid, *tiling, pool);
 }
 
 /// The O(n²·|grid|) reference. Works on the same sorted arrays as the fast
@@ -211,12 +88,9 @@ std::vector<double> profile_naive(const data::Dataset& data,
   return totals;
 }
 
-/// Device path: k-block streamed (resident = the one-pass case). One
-/// thread per observation resumes the sweep over the current grid slice
-/// into a bandwidth-major residual block; one thread per grid entry then
-/// folds its n residuals in ascending observation order into a double
-/// accumulator — the same values in the same order as the sequential host
-/// fold, so the device profile is bitwise equal to knn_cv_profile.
+/// Device path: the shared k-block profile (resident = the one-block
+/// case). Neighbour counts travel as 32-bit constants: half the
+/// constant-cache footprint of size_t, and k < n always fits.
 template <class Scalar>
 std::vector<double> profile_device(spmd::Device& device,
                                    const data::Dataset& data,
@@ -224,8 +98,6 @@ std::vector<double> profile_device(spmd::Device& device,
                                    const KnnDeviceConfig& config) {
   const std::size_t n = data.size();
   const std::size_t k = kgrid.size();
-  const std::size_t tpb = config.threads_per_block;
-
   const StreamingPlan plan = resolve_streaming(
       config.stream, k, knn_estimated_streamed_bytes(n, k, config.precision),
       knn_estimated_streamed_bytes(n, 0, config.precision),
@@ -233,104 +105,15 @@ std::vector<double> profile_device(spmd::Device& device,
       device.properties().memory_budget().global_bytes);
 
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-
-  spmd::DeviceBuffer<Scalar> d_x = device.alloc_global<Scalar>(n, "x");
-  spmd::DeviceBuffer<Scalar> d_y = device.alloc_global<Scalar>(n, "y");
-  device.copy_to_device(d_x, std::span<const Scalar>(sorted.x));
-  device.copy_to_device(d_y, std::span<const Scalar>(sorted.y));
-
-  // O(n) carry state surviving across k-block launches.
-  spmd::DeviceBuffer<std::size_t> d_lo =
-      device.alloc_global<std::size_t>(n, "knn-lo");
-  spmd::DeviceBuffer<std::size_t> d_hi =
-      device.alloc_global<std::size_t>(n, "knn-hi");
-  spmd::DeviceBuffer<Scalar> d_sum_l =
-      device.alloc_global<Scalar>(n, "knn-sum-left");
-  spmd::DeviceBuffer<Scalar> d_sum_r =
-      device.alloc_global<Scalar>(n, "knn-sum-right");
-
-  // The one resident residual block (bandwidth-major), plus the per-entry
-  // score totals the ordered fold writes.
-  spmd::DeviceBuffer<Scalar> d_resid =
-      device.alloc_global<Scalar>(n * plan.k_block, "knn-residual-block");
-  spmd::DeviceBuffer<double> d_scores =
-      device.alloc_global<double>(plan.k_block, "knn-score-block");
-
-  std::span<const Scalar> xs = d_x.span();
-  std::span<const Scalar> ys = d_y.span();
-  spmd::MemView<std::size_t> lo_all = d_lo.view();
-  spmd::MemView<std::size_t> hi_all = d_hi.view();
-  spmd::MemView<Scalar> sum_l_all = d_sum_l.view();
-  spmd::MemView<Scalar> sum_r_all = d_sum_r.view();
-  spmd::MemView<Scalar> resid_all = d_resid.view();
-  spmd::MemView<double> scores_all = d_scores.view();
-
-  const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(n, tpb);
-  std::vector<double> cv(k);
-  std::vector<double> host_scores(plan.k_block);
-  for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
-    const std::size_t kb = std::min(plan.k_block, k - b0);
-    // Neighbour counts travel as 32-bit constants: half the constant-cache
-    // footprint of size_t, and k < n always fits.
-    std::vector<std::uint32_t> host_block(kb);
-    for (std::size_t b = 0; b < kb; ++b) {
-      host_block[b] = static_cast<std::uint32_t>(kgrid[b0 + b]);
-    }
-    spmd::ConstantBuffer<std::uint32_t> c_block =
-        device.upload_constant<std::uint32_t>(host_block,
-                                              "neighbor-grid-block");
-    spmd::MemView<const std::uint32_t> ks = c_block.view();
-    const bool first = b0 == 0;
-
-    device.launch("knn_sweep_kblock", main_cfg,
-                  [&, kb, first](const spmd::ThreadCtx& t) {
-      const std::size_t j = t.global_idx();
-      if (j >= n) {
-        return;  // padding thread in the last block
-      }
-      std::size_t lo = 0;
-      std::size_t hi = 0;
-      Scalar sum_l{};
-      Scalar sum_r{};
-      if (first) {
-        detail::knn_sweep_seed<Scalar>(j, lo, hi, sum_l, sum_r);
-      } else {
-        lo = lo_all[j];
-        hi = hi_all[j];
-        sum_l = sum_l_all[j];
-        sum_r = sum_r_all[j];
-      }
-      detail::knn_sweep_resume<Scalar>(xs, ys, ks, j, lo, hi, sum_l, sum_r,
-                                       [&](std::size_t b, Scalar sq) {
-                                         resid_all[b * n + j] = sq;
-                                       });
-      lo_all[j] = lo;
-      hi_all[j] = hi;
-      sum_l_all[j] = sum_l;
-      sum_r_all[j] = sum_r;
-    });
-
-    // Ordered fold: one thread per grid entry sums its residual row in
-    // ascending observation order — bitwise the sequential host order.
-    device.launch("knn_score_fold", spmd::LaunchConfig::cover(kb, tpb),
-                  [&, kb](const spmd::ThreadCtx& t) {
-      const std::size_t b = t.global_idx();
-      if (b >= kb) {
-        return;
-      }
-      double total = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        total += static_cast<double>(resid_all[b * n + j]);
-      }
-      scores_all[b] = total;
-    });
-
-    device.copy_to_host(std::span<double>(host_scores), d_scores);
-    for (std::size_t b = 0; b < kb; ++b) {
-      cv[b0 + b] = host_scores[b] / static_cast<double>(n);
-    }
+  std::vector<std::uint32_t> counts(k);
+  for (std::size_t b = 0; b < k; ++b) {
+    counts[b] = static_cast<std::uint32_t>(kgrid[b]);
   }
-  return cv;
+  return detail::kblock_device_profile(
+      device, detail::KnnWindow<Scalar>{sorted.x, sorted.y},
+      std::span<const std::uint32_t>(counts), plan.k_block,
+      config.threads_per_block,
+      {"knn_sweep_kblock", "knn_score_fold", "neighbor-grid-block", "knn"});
 }
 
 }  // namespace
@@ -368,18 +151,9 @@ std::vector<double> knn_cv_profile(const data::Dataset& data,
                                    std::span<const std::size_t> kgrid,
                                    Precision precision) {
   check_knn_inputs(data, kgrid, "knn_cv_profile");
-  return precision == Precision::kFloat ? profile_sequential<float>(data, kgrid)
-                                        : profile_sequential<double>(data, kgrid);
-}
-
-std::vector<double> knn_cv_profile_parallel(const data::Dataset& data,
-                                            std::span<const std::size_t> kgrid,
-                                            Precision precision,
-                                            parallel::ThreadPool* pool) {
-  check_knn_inputs(data, kgrid, "knn_cv_profile_parallel");
   return precision == Precision::kFloat
-             ? profile_parallel<float>(data, kgrid, pool)
-             : profile_parallel<double>(data, kgrid, pool);
+             ? profile<float>(data, kgrid, nullptr, nullptr)
+             : profile<double>(data, kgrid, nullptr, nullptr);
 }
 
 std::vector<double> knn_cv_profile_tiled(const data::Dataset& data,
@@ -389,8 +163,8 @@ std::vector<double> knn_cv_profile_tiled(const data::Dataset& data,
                                          parallel::ThreadPool* pool) {
   check_knn_inputs(data, kgrid, "knn_cv_profile_tiled");
   return precision == Precision::kFloat
-             ? profile_tiled<float>(data, kgrid, tiling, pool)
-             : profile_tiled<double>(data, kgrid, tiling, pool);
+             ? profile<float>(data, kgrid, &tiling, pool)
+             : profile<double>(data, kgrid, &tiling, pool);
 }
 
 std::vector<double> knn_cv_profile_naive(const data::Dataset& data,
@@ -419,8 +193,8 @@ std::size_t knn_estimated_streamed_bytes(std::size_t n, std::size_t k_block,
                                          Precision precision) {
   const std::size_t scalar =
       precision == Precision::kFloat ? sizeof(float) : sizeof(double);
-  // x, y, sum_l, sum_r (Scalar) + lo, hi (size_t) + the residual block and
-  // its per-entry double score totals.
+  // x, y, the two side sums (Scalar) + lo, hi (size_t) + the residual
+  // block and its per-entry double score totals.
   const std::size_t base =
       n * (4 * scalar + 2 * sizeof(std::size_t));
   return base + k_block * (n * scalar + sizeof(double));

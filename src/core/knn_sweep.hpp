@@ -34,10 +34,12 @@ namespace kreg {
 /// residual is bit-identical everywhere — including the naive reference,
 /// which re-accumulates in the same outward order. The sequential, device,
 /// streamed-k-block, and naive profiles therefore agree **bitwise** (their
-/// per-k score folds also run in ascending observation order); the
-/// parallel and tiled profiles regroup that fold at slice/tile boundaries
-/// — deterministic, tolerance-equal, and bitwise when one slice/tile
-/// covers n. See detail/device_sweep.hpp (knn_sweep_seed/resume).
+/// per-k score folds also run in ascending observation order); the tiled
+/// profile regroups that fold at tile boundaries — the same bits on every
+/// pool, tolerance-equal, and bitwise when one tile covers n. Every
+/// backend runs one policy, detail::KnnWindow (detail/window_policy.hpp,
+/// wrapping knn_sweep_seed/resume in detail/device_sweep.hpp), through the
+/// shared drivers of detail/window_drivers.hpp.
 
 /// Outcome of a k-NN LOOCV selection: the neighbour-count analogue of
 /// SelectionResult (the selected axis is an integer count, so the generic
@@ -63,20 +65,12 @@ std::vector<double> knn_cv_profile(const data::Dataset& data,
                                    std::span<const std::size_t> kgrid,
                                    Precision precision = Precision::kDouble);
 
-/// Same profile with observations distributed across a thread pool (one
-/// global sort on the calling thread; per-slice partials combined in slice
-/// order, so the result is deterministic; bitwise equal to the sequential
-/// profile when one slice covers n, within summation-regrouping error
-/// otherwise).
-std::vector<double> knn_cv_profile_parallel(
-    const data::Dataset& data, std::span<const std::size_t> kgrid,
-    Precision precision = Precision::kDouble,
-    parallel::ThreadPool* pool = nullptr);
-
-/// Cache-blocked host mirror of the device's k-block streaming: tiles of
-/// observations carry their window state (two pointers, two side sums)
-/// across ascending k-blocks taken innermost. Tile partials combine in
-/// tile order — deterministic, same contract as the parallel profile.
+/// Cache-blocked host mirror of the device's k-block streaming, and the
+/// host's parallel profile: tiles of observations carry their window state
+/// (two pointers, two side sums) across ascending k-blocks taken
+/// innermost, and tile partials combine in tile order — the same bits on
+/// every pool, within summation regrouping of knn_cv_profile (bitwise when
+/// one tile covers n). Blocks larger than (n, |grid|) clamp to it.
 std::vector<double> knn_cv_profile_tiled(const data::Dataset& data,
                                          std::span<const std::size_t> kgrid,
                                          Precision precision = Precision::kDouble,

@@ -5,9 +5,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/detail/device_sweep.hpp"
+#include "core/detail/window_drivers.hpp"
+#include "core/detail/window_policy.hpp"
 #include "core/validate_grid.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace kreg {
 
@@ -27,145 +27,18 @@ void check_oscv_inputs(const data::Dataset& data, std::span<const double> grid,
 }
 
 template <class Scalar>
-std::vector<double> profile_sequential(const data::Dataset& data,
-                                       std::span<const double> grid,
-                                       KernelType kernel) {
-  const std::size_t n = data.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
+std::vector<double> profile(const data::Dataset& data,
+                            std::span<const double> grid, KernelType kernel,
+                            const HostTiling* tiling,
+                            parallel::ThreadPool* pool) {
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const std::vector<Scalar> host_grid(grid.begin(), grid.end());
-
-  std::vector<double> totals(grid.size(), 0.0);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    detail::oscv_sweep_thread<Scalar>(
-        std::span<const Scalar>(sorted.x), std::span<const Scalar>(sorted.y),
-        std::span<const Scalar>(host_grid), poly, pos,
-        [&](std::size_t b, Scalar sq) {
-          totals[b] += static_cast<double>(sq);
-        });
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
-}
-
-template <class Scalar>
-std::vector<double> profile_parallel(const data::Dataset& data,
-                                     std::span<const double> grid,
-                                     KernelType kernel,
-                                     parallel::ThreadPool* pool) {
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  const std::vector<Scalar> host_grid(grid.begin(), grid.end());
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
+  const detail::OscvWindow<Scalar> sweep{sorted.x, sorted.y,
+                                         sweep_polynomial(kernel)};
   const std::span<const Scalar> hs(host_grid);
-
-  const std::vector<parallel::BlockedRange> slices =
-      parallel::partition_evenly(n, pool->size());
-  std::vector<std::vector<double>> partials(slices.size(),
-                                            std::vector<double>(k, 0.0));
-  parallel::parallel_for(
-      slices.size(),
-      [&](std::size_t s) {
-        std::vector<double>& acc = partials[s];
-        for (std::size_t pos = slices[s].begin; pos < slices[s].end; ++pos) {
-          detail::oscv_sweep_thread<Scalar>(xs, ys, hs, poly, pos,
-                                            [&](std::size_t b, Scalar sq) {
-                                              acc[b] +=
-                                                  static_cast<double>(sq);
-                                            });
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
-}
-
-template <class Scalar>
-std::vector<double> profile_tiled(const data::Dataset& data,
-                                  std::span<const double> grid,
-                                  KernelType kernel, HostTiling tiling,
-                                  parallel::ThreadPool* pool) {
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  const std::size_t terms = detail::oscv_moment_count(poly);
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-  const std::size_t n_block = tiling.n_block != 0 ? tiling.n_block : 2048;
-  const std::size_t k_block = tiling.k_block != 0
-                                  ? std::min(tiling.k_block, k)
-                                  : std::min<std::size_t>(64, k);
-
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  const std::vector<Scalar> host_grid(grid.begin(), grid.end());
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
-
-  const std::size_t tiles = (n + n_block - 1) / n_block;
-  std::vector<std::vector<double>> partials(tiles,
-                                            std::vector<double>(k, 0.0));
-  parallel::parallel_for(
-      tiles,
-      [&](std::size_t tile) {
-        const std::size_t begin = tile * n_block;
-        const std::size_t nb = std::min(n_block, n - begin);
-        std::vector<double>& acc = partials[tile];
-
-        std::vector<std::size_t> lo(nb);
-        std::vector<std::size_t> count(nb);
-        std::vector<Scalar> mq(nb * terms);
-        std::vector<Scalar> nq(nb * terms);
-        for (std::size_t r = 0; r < nb; ++r) {
-          detail::oscv_sweep_seed<Scalar>(
-              begin + r, lo[r], count[r],
-              std::span<Scalar>(mq.data() + r * terms, terms),
-              std::span<Scalar>(nq.data() + r * terms, terms));
-        }
-
-        for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
-          const std::size_t kb = std::min(k_block, k - b0);
-          const std::span<const Scalar> hs(host_grid.data() + b0, kb);
-          for (std::size_t r = 0; r < nb; ++r) {
-            detail::oscv_sweep_resume<Scalar>(
-                xs, ys, hs, poly, begin + r, lo[r], count[r],
-                std::span<Scalar>(mq.data() + r * terms, terms),
-                std::span<Scalar>(nq.data() + r * terms, terms),
-                [&](std::size_t b, Scalar sq) {
-                  acc[b0 + b] += static_cast<double>(sq);
-                });
-          }
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
+  return tiling == nullptr
+             ? detail::sequential_profile(sweep, hs)
+             : detail::tiled_profile(sweep, hs, *tiling, pool);
 }
 
 /// The O(n²·|grid|) reference: per (observation, b) the one-sided moments
@@ -219,10 +92,8 @@ std::vector<double> profile_naive(const data::Dataset& data,
   return totals;
 }
 
-/// Device path: k-block streamed (resident = the one-pass case), same
-/// shape as the k-NN device path — sweep kernel into a bandwidth-major
-/// residual block, then an ordered per-bandwidth fold in ascending
-/// observation order for bitwise equality with the sequential host fold.
+/// Device path: the shared k-block profile, as for k-NN (resident = the
+/// one-block case).
 template <class Scalar>
 std::vector<double> profile_device(spmd::Device& device,
                                    const data::Dataset& data,
@@ -231,10 +102,6 @@ std::vector<double> profile_device(spmd::Device& device,
                                    const OscvDeviceConfig& config) {
   const std::size_t n = data.size();
   const std::size_t k = grid.size();
-  const std::size_t tpb = config.threads_per_block;
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  const std::size_t terms = detail::oscv_moment_count(poly);
-
   const StreamingPlan plan = resolve_streaming(
       config.stream, k,
       oscv_estimated_streamed_bytes(n, k, config.precision, kernel),
@@ -243,103 +110,13 @@ std::vector<double> profile_device(spmd::Device& device,
       device.properties().memory_budget().global_bytes);
 
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  std::vector<Scalar> host_grid(grid.begin(), grid.end());
-
-  spmd::DeviceBuffer<Scalar> d_x = device.alloc_global<Scalar>(n, "x");
-  spmd::DeviceBuffer<Scalar> d_y = device.alloc_global<Scalar>(n, "y");
-  device.copy_to_device(d_x, std::span<const Scalar>(sorted.x));
-  device.copy_to_device(d_y, std::span<const Scalar>(sorted.y));
-
-  // O(n) one-sided carry state surviving across k-block launches.
-  spmd::DeviceBuffer<std::size_t> d_lo =
-      device.alloc_global<std::size_t>(n, "oscv-lo");
-  spmd::DeviceBuffer<std::size_t> d_count =
-      device.alloc_global<std::size_t>(n, "oscv-count");
-  spmd::DeviceBuffer<Scalar> d_mq =
-      device.alloc_global<Scalar>(n * terms, "oscv-moment-m");
-  spmd::DeviceBuffer<Scalar> d_nq =
-      device.alloc_global<Scalar>(n * terms, "oscv-moment-n");
-
-  spmd::DeviceBuffer<Scalar> d_resid =
-      device.alloc_global<Scalar>(n * plan.k_block, "oscv-residual-block");
-  spmd::DeviceBuffer<double> d_scores =
-      device.alloc_global<double>(plan.k_block, "oscv-score-block");
-
-  std::span<const Scalar> xs = d_x.span();
-  std::span<const Scalar> ys = d_y.span();
-  spmd::MemView<std::size_t> lo_all = d_lo.view();
-  spmd::MemView<std::size_t> count_all = d_count.view();
-  spmd::MemView<Scalar> mq_all = d_mq.view();
-  spmd::MemView<Scalar> nq_all = d_nq.view();
-  spmd::MemView<Scalar> resid_all = d_resid.view();
-  spmd::MemView<double> scores_all = d_scores.view();
-
-  const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(n, tpb);
-  std::vector<double> cv(k);
-  std::vector<double> host_scores(plan.k_block);
-  for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
-    const std::size_t kb = std::min(plan.k_block, k - b0);
-    const std::vector<Scalar> host_block(host_grid.begin() + b0,
-                                         host_grid.begin() + b0 + kb);
-    spmd::ConstantBuffer<Scalar> c_block =
-        device.upload_constant<Scalar>(host_block, "oscv-grid-block");
-    spmd::MemView<const Scalar> hs = c_block.view();
-    const bool first = b0 == 0;
-
-    device.launch("oscv_sweep_kblock", main_cfg,
-                  [&, kb, first](const spmd::ThreadCtx& t) {
-      const std::size_t j = t.global_idx();
-      if (j >= n) {
-        return;  // padding thread in the last block
-      }
-      Scalar m_q[detail::kOscvMaxMoments] = {};
-      Scalar n_q[detail::kOscvMaxMoments] = {};
-      std::size_t lo = 0;
-      std::size_t count = 0;
-      if (first) {
-        detail::oscv_sweep_seed<Scalar>(j, lo, count,
-                                        std::span<Scalar>(m_q, terms),
-                                        std::span<Scalar>(n_q, terms));
-      } else {
-        lo = lo_all[j];
-        count = count_all[j];
-        for (std::size_t q = 0; q < terms; ++q) {
-          m_q[q] = mq_all[j * terms + q];
-          n_q[q] = nq_all[j * terms + q];
-        }
-      }
-      detail::oscv_sweep_resume<Scalar>(
-          xs, ys, hs, poly, j, lo, count, std::span<Scalar>(m_q, terms),
-          std::span<Scalar>(n_q, terms), [&](std::size_t b, Scalar sq) {
-            resid_all[b * n + j] = sq;
-          });
-      lo_all[j] = lo;
-      count_all[j] = count;
-      for (std::size_t q = 0; q < terms; ++q) {
-        mq_all[j * terms + q] = m_q[q];
-        nq_all[j * terms + q] = n_q[q];
-      }
-    });
-
-    device.launch("oscv_score_fold", spmd::LaunchConfig::cover(kb, tpb),
-                  [&, kb](const spmd::ThreadCtx& t) {
-      const std::size_t b = t.global_idx();
-      if (b >= kb) {
-        return;
-      }
-      double total = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        total += static_cast<double>(resid_all[b * n + j]);
-      }
-      scores_all[b] = total;
-    });
-
-    device.copy_to_host(std::span<double>(host_scores), d_scores);
-    for (std::size_t b = 0; b < kb; ++b) {
-      cv[b0 + b] = host_scores[b] / static_cast<double>(n);
-    }
-  }
-  return cv;
+  const std::vector<Scalar> host_grid(grid.begin(), grid.end());
+  return detail::kblock_device_profile(
+      device,
+      detail::OscvWindow<Scalar>{sorted.x, sorted.y, sweep_polynomial(kernel)},
+      std::span<const Scalar>(host_grid), plan.k_block,
+      config.threads_per_block,
+      {"oscv_sweep_kblock", "oscv_score_fold", "oscv-grid-block", "oscv"});
 }
 
 }  // namespace
@@ -392,19 +169,8 @@ std::vector<double> oscv_profile(const data::Dataset& data,
                                  KernelType kernel, Precision precision) {
   check_oscv_inputs(data, grid, kernel, "oscv_profile");
   return precision == Precision::kFloat
-             ? profile_sequential<float>(data, grid, kernel)
-             : profile_sequential<double>(data, grid, kernel);
-}
-
-std::vector<double> oscv_profile_parallel(const data::Dataset& data,
-                                          std::span<const double> grid,
-                                          KernelType kernel,
-                                          Precision precision,
-                                          parallel::ThreadPool* pool) {
-  check_oscv_inputs(data, grid, kernel, "oscv_profile_parallel");
-  return precision == Precision::kFloat
-             ? profile_parallel<float>(data, grid, kernel, pool)
-             : profile_parallel<double>(data, grid, kernel, pool);
+             ? profile<float>(data, grid, kernel, nullptr, nullptr)
+             : profile<double>(data, grid, kernel, nullptr, nullptr);
 }
 
 std::vector<double> oscv_profile_tiled(const data::Dataset& data,
@@ -414,8 +180,8 @@ std::vector<double> oscv_profile_tiled(const data::Dataset& data,
                                        parallel::ThreadPool* pool) {
   check_oscv_inputs(data, grid, kernel, "oscv_profile_tiled");
   return precision == Precision::kFloat
-             ? profile_tiled<float>(data, grid, kernel, tiling, pool)
-             : profile_tiled<double>(data, grid, kernel, tiling, pool);
+             ? profile<float>(data, grid, kernel, &tiling, pool)
+             : profile<double>(data, grid, kernel, &tiling, pool);
 }
 
 std::vector<double> oscv_profile_naive(const data::Dataset& data,
@@ -450,8 +216,8 @@ std::size_t oscv_estimated_streamed_bytes(std::size_t n, std::size_t k_block,
       precision == Precision::kFloat ? sizeof(float) : sizeof(double);
   const std::size_t terms =
       detail::oscv_moment_count(sweep_polynomial(kernel));
-  // x, y + lo/count (size_t) + the two moment carries, plus the residual
-  // block and its per-entry double score totals.
+  // x, y + lo/count (size_t) + the M_q and N_q moment carries, plus the
+  // residual block and its per-entry double score totals.
   const std::size_t base =
       n * (2 * scalar + 2 * sizeof(std::size_t) + 2 * terms * scalar);
   return base + k_block * (n * scalar + sizeof(double));
@@ -460,10 +226,9 @@ std::size_t oscv_estimated_streamed_bytes(std::size_t n, std::size_t k_block,
 SelectionResult OscvSweepSelector::select(const data::Dataset& data,
                                           const BandwidthGrid& grid) const {
   std::vector<double> scores =
-      parallel_
-          ? oscv_profile_parallel(data, grid.values(), kernel_, precision_,
-                                  pool_)
-          : oscv_profile(data, grid.values(), kernel_, precision_);
+      parallel_ ? oscv_profile_tiled(data, grid.values(), kernel_, precision_,
+                                     HostTiling{}, pool_)
+                : oscv_profile(data, grid.values(), kernel_, precision_);
   SelectionResult result =
       selection_from_profile(grid, std::move(scores), name());
   // The OSCV rescaling: grid/scores stay the one-sided profile over the

@@ -36,9 +36,10 @@ namespace kreg {
 /// accumulate strictly outward on the one side, so they are bit-identical
 /// across every fast backend and the naive reference; sequential, device,
 /// and streamed-k-block profiles agree bitwise (ordered score folds),
-/// while parallel/tiled regroup the fold at slice/tile boundaries —
-/// deterministic, and bitwise when one slice/tile covers n. See
-/// detail/device_sweep.hpp (oscv_sweep_seed/resume/oscv_residual).
+/// while tiled regroups the fold at tile boundaries — the same bits on
+/// every pool, and bitwise when one tile covers n. Every backend runs
+/// detail::OscvWindow (detail/window_policy.hpp, wrapping
+/// oscv_sweep_seed/resume/oscv_residual in detail/device_sweep.hpp).
 
 /// The kernel-dependent constant C of the OSCV bandwidth rescaling
 /// ĥ = C·b̂: with L the equivalent kernel of the one-sided local-linear
@@ -56,16 +57,11 @@ std::vector<double> oscv_profile(const data::Dataset& data,
                                  KernelType kernel,
                                  Precision precision = Precision::kDouble);
 
-/// Same profile with observations distributed across a thread pool
-/// (per-slice partials combined in slice order — deterministic).
-std::vector<double> oscv_profile_parallel(
-    const data::Dataset& data, std::span<const double> grid, KernelType kernel,
-    Precision precision = Precision::kDouble,
-    parallel::ThreadPool* pool = nullptr);
-
-/// Cache-blocked host mirror of the device's k-block streaming: tiles
-/// carry the one-sided window state (left pointer, admitted count, the
-/// absolute moments M_q/N_q) across ascending k-blocks taken innermost.
+/// Cache-blocked host mirror of the device's k-block streaming, and the
+/// host's parallel profile: tiles carry the one-sided window state (left
+/// pointer, admitted count, the absolute moments M_q/N_q) across ascending
+/// k-blocks taken innermost; tile partials combine in tile order, the
+/// same bits on every pool. Blocks larger than (n, k) clamp to it.
 std::vector<double> oscv_profile_tiled(const data::Dataset& data,
                                        std::span<const double> grid,
                                        KernelType kernel,
@@ -109,7 +105,8 @@ std::size_t oscv_estimated_streamed_bytes(std::size_t n, std::size_t k_block,
                                           KernelType kernel);
 
 /// OSCV as a drop-in Selector: minimizes OSCV(b) over the grid via the
-/// fast one-sided sweep, then reports the *rescaled* two-sided bandwidth
+/// fast one-sided sweep (`parallel`: oscv_profile_tiled with auto tiling
+/// on `pool`), then reports the *rescaled* two-sided bandwidth
 /// ĥ = C·b̂ in SelectionResult::bandwidth. `grid`/`scores` hold the
 /// one-sided profile over the b-grid (so the argmin relation
 /// scores[argmin] == cv_score still holds; bandwidth is C·grid[argmin]).

@@ -76,8 +76,8 @@ SelectionResult WindowSweepSelector::select(const data::Dataset& data,
                                             const BandwidthGrid& grid) const {
   data.validate();
   std::vector<double> scores =
-      parallel_ ? window_cv_profile_parallel(data, grid.values(), kernel_,
-                                             precision_, pool_)
+      parallel_ ? window_cv_profile_tiled(data, grid.values(), kernel_,
+                                          precision_, HostTiling{}, pool_)
                 : window_cv_profile(data, grid.values(), kernel_, precision_);
   return selection_from_profile(grid, std::move(scores), name());
 }

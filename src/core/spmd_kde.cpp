@@ -10,6 +10,8 @@
 #include "core/detail/device_sweep.hpp"
 #include "core/detail/kde_polynomials.hpp"
 #include "core/detail/lane_reduce.hpp"
+#include "core/detail/window_drivers.hpp"
+#include "core/detail/window_policy.hpp"
 #include "sort/introsort.hpp"
 #include "sort/iterative_quicksort.hpp"
 
@@ -57,90 +59,43 @@ SelectionResult run_streamed_kde_selection(
     const StreamingPlan& plan, std::size_t tpb, std::string method_name) {
   const std::size_t n = host_x.size();
   const std::size_t k = grid.size();
-  constexpr std::size_t kSums = detail::kKdeMaxMoment + 1;
+  using State = detail::KdeWindow::State;
 
   spmd::DeviceBuffer<double> d_x = device.alloc_global<double>(n, "x");
   device.copy_to_device(d_x, std::span<const double>(host_x));
+  const detail::KdeWindow sweep{d_x.span(), kpoly, cpoly};
 
   // O(n) carry state for both admission windows.
-  spmd::DeviceBuffer<double> d_csums =
-      device.alloc_global<double>(n * kSums, "conv-moments");
-  spmd::DeviceBuffer<double> d_lsums =
-      device.alloc_global<double>(n * kSums, "loo-moments");
-  spmd::DeviceBuffer<std::size_t> d_clo =
-      device.alloc_global<std::size_t>(n, "conv-lo");
-  spmd::DeviceBuffer<std::size_t> d_chi =
-      device.alloc_global<std::size_t>(n, "conv-hi");
-  spmd::DeviceBuffer<std::size_t> d_llo =
-      device.alloc_global<std::size_t>(n, "loo-lo");
-  spmd::DeviceBuffer<std::size_t> d_lhi =
-      device.alloc_global<std::size_t>(n, "loo-hi");
+  spmd::DeviceBuffer<std::size_t> d_words =
+      device.alloc_global<std::size_t>(n * State::kWords, "kde-carry-words");
+  spmd::DeviceBuffer<double> d_scalars =
+      device.alloc_global<double>(n * sweep.scalars(), "kde-carry-scalars");
+  detail::PassCarry<double> carry{d_words.view(), d_scalars.view()};
 
   // The one resident LSCV-partial block, reused by every pass.
   spmd::DeviceBuffer<double> d_partial =
       device.alloc_global<double>(n * plan.k_block, "lscv-partial-block");
-
-  std::span<const double> dxs = d_x.span();
-  spmd::MemView<double> cs_all = d_csums.view();
-  spmd::MemView<double> ls_all = d_lsums.view();
-  spmd::MemView<std::size_t> clo_all = d_clo.view();
-  spmd::MemView<std::size_t> chi_all = d_chi.view();
-  spmd::MemView<std::size_t> llo_all = d_llo.view();
-  spmd::MemView<std::size_t> lhi_all = d_lhi.view();
   spmd::MemView<double> partial_all = d_partial.view();
 
   const std::vector<double> host_grid(grid.values());
-  const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(n, tpb);
-
   std::vector<double> scores_out(k);
   std::vector<double> totals(plan.k_block);
   std::size_t best_index = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
     const std::size_t kb = std::min(plan.k_block, k - b0);
-    const std::vector<double> host_block(host_grid.begin() + b0,
-                                         host_grid.begin() + b0 + kb);
-    spmd::ConstantBuffer<double> c_block =
-        device.upload_constant<double>(host_block, "bandwidth-grid-block");
+    spmd::ConstantBuffer<double> c_block = device.upload_constant<double>(
+        std::span<const double>(host_grid).subspan(b0, kb),
+        "bandwidth-grid-block");
     spmd::MemView<const double> hs = c_block.view();
-    const bool first = b0 == 0;
-
-    device.launch("kde_lscv_sweep_kblock", main_cfg,
-                  [&, kb, first](const spmd::ThreadCtx& t) {
-      const std::size_t i = t.global_idx();
-      if (i >= n) {
-        return;
-      }
-      detail::WindowMomentSweep conv_sweep;  // admits |Δ| <= 2h
-      detail::WindowMomentSweep loo_sweep;   // admits |Δ| <= h
-      if (first) {
-        conv_sweep.seed(i);
-        loo_sweep.seed(i);
-      } else {
-        for (std::size_t m = 0; m < kSums; ++m) {
-          conv_sweep.sums[m] = cs_all[i * kSums + m];
-          loo_sweep.sums[m] = ls_all[i * kSums + m];
-        }
-        conv_sweep.lo = clo_all[i];
-        conv_sweep.hi = chi_all[i];
-        loo_sweep.lo = llo_all[i];
-        loo_sweep.hi = lhi_all[i];
-      }
-      detail::kde_window_sweep_resume(
-          dxs, hs, kpoly, cpoly, i, conv_sweep, loo_sweep,
-          [&](std::size_t b, double conv, double loo) {
-            partial_all[b * n + i] =
-                detail::lscv_pair_partial(conv, loo, n, hs[b]);
-          });
-      for (std::size_t m = 0; m < kSums; ++m) {
-        cs_all[i * kSums + m] = conv_sweep.sums[m];
-        ls_all[i * kSums + m] = loo_sweep.sums[m];
-      }
-      clo_all[i] = conv_sweep.lo;
-      chi_all[i] = conv_sweep.hi;
-      llo_all[i] = loo_sweep.lo;
-      lhi_all[i] = loo_sweep.hi;
-    });
+    carry.seed = b0 == 0;
+    detail::launch_pass(device, "kde_lscv_sweep_kblock", tpb, sweep, 0, n, hs,
+                        &carry,
+                        [&](std::size_t b, std::size_t i, double conv,
+                            double loo) {
+                          partial_all[b * n + i] =
+                              detail::lscv_pair_partial(conv, loo, n, hs[b]);
+                        });
 
     // Reduce this block's partials to per-bandwidth totals right away, in
     // one launch.
@@ -187,7 +142,7 @@ SelectionResult run_streamed_2d_kde_selection(
     const StreamingPlan& plan, std::size_t tpb, std::string method_name) {
   const std::size_t n = host_x.size();
   const std::size_t k = grid.size();
-  constexpr std::size_t kSums = detail::kKdeMaxMoment + 1;
+  using State = detail::KdeWindow::State;
   const std::size_t lane_dim = spmd::detail::reduction_block_dim(device, tpb);
   const double scale = std::max(kpoly.support_scale, cpoly.support_scale);
   const double reach = scale * grid[k - 1];  // widest admission at h_max
@@ -213,82 +168,33 @@ SelectionResult run_streamed_2d_kde_selection(
     spmd::DeviceBuffer<double> d_x =
         device.alloc_global<double>(slab, "x-slab");
     device.copy_to_device(d_x, host_xs.subspan(slab_begin, slab));
-    spmd::DeviceBuffer<double> d_csums =
-        device.alloc_global<double>(nb * kSums, "conv-moments");
-    spmd::DeviceBuffer<double> d_lsums =
-        device.alloc_global<double>(nb * kSums, "loo-moments");
-    spmd::DeviceBuffer<std::size_t> d_clo =
-        device.alloc_global<std::size_t>(nb, "conv-lo");
-    spmd::DeviceBuffer<std::size_t> d_chi =
-        device.alloc_global<std::size_t>(nb, "conv-hi");
-    spmd::DeviceBuffer<std::size_t> d_llo =
-        device.alloc_global<std::size_t>(nb, "loo-lo");
-    spmd::DeviceBuffer<std::size_t> d_lhi =
-        device.alloc_global<std::size_t>(nb, "loo-hi");
+    const detail::KdeWindow sweep{d_x.span(), kpoly, cpoly};
+    spmd::DeviceBuffer<std::size_t> d_words = device.alloc_global<std::size_t>(
+        nb * State::kWords, "kde-carry-words");
+    spmd::DeviceBuffer<double> d_scalars =
+        device.alloc_global<double>(nb * sweep.scalars(), "kde-carry-scalars");
+    detail::PassCarry<double> carry{d_words.view(), d_scalars.view()};
     spmd::DeviceBuffer<double> d_partial =
         device.alloc_global<double>(nb * plan.k_block, "lscv-partial-block");
-
-    std::span<const double> dxs = d_x.span();
-    spmd::MemView<double> cs_all = d_csums.view();
-    spmd::MemView<double> ls_all = d_lsums.view();
-    spmd::MemView<std::size_t> clo_all = d_clo.view();
-    spmd::MemView<std::size_t> chi_all = d_chi.view();
-    spmd::MemView<std::size_t> llo_all = d_llo.view();
-    spmd::MemView<std::size_t> lhi_all = d_lhi.view();
     spmd::MemView<double> partial_all = d_partial.view();
-
-    const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(nb, tpb);
-    const std::size_t rel0 = n0 - slab_begin;  // block's first slab index
 
     for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
       const std::size_t kb = std::min(plan.k_block, k - b0);
-      const std::vector<double> host_block(host_grid.begin() + b0,
-                                           host_grid.begin() + b0 + kb);
-      spmd::ConstantBuffer<double> c_block =
-          device.upload_constant<double>(host_block, "bandwidth-grid-block");
+      spmd::ConstantBuffer<double> c_block = device.upload_constant<double>(
+          std::span<const double>(host_grid).subspan(b0, kb),
+          "bandwidth-grid-block");
       spmd::MemView<const double> hs = c_block.view();
-      const bool first = b0 == 0;
-
-      device.launch("kde_lscv_sweep_tile", main_cfg,
-                    [&, nb, kb, first, rel0](const spmd::ThreadCtx& t) {
-        const std::size_t r = t.global_idx();
-        if (r >= nb) {
-          return;
-        }
-        // Slab-relative position: the halo guarantees the slab never
-        // truncates an admission, so the slab-edge guards decide exactly
-        // as the resident full-array guards.
-        const std::size_t pos = rel0 + r;
-        detail::WindowMomentSweep conv_sweep;  // admits |Δ| <= 2h
-        detail::WindowMomentSweep loo_sweep;   // admits |Δ| <= h
-        if (first) {
-          conv_sweep.seed(pos);
-          loo_sweep.seed(pos);
-        } else {
-          for (std::size_t m = 0; m < kSums; ++m) {
-            conv_sweep.sums[m] = cs_all[r * kSums + m];
-            loo_sweep.sums[m] = ls_all[r * kSums + m];
-          }
-          conv_sweep.lo = clo_all[r];
-          conv_sweep.hi = chi_all[r];
-          loo_sweep.lo = llo_all[r];
-          loo_sweep.hi = lhi_all[r];
-        }
-        detail::kde_window_sweep_resume(
-            dxs, hs, kpoly, cpoly, pos, conv_sweep, loo_sweep,
-            [&](std::size_t b, double conv, double loo) {
-              partial_all[b * nb + r] =
-                  detail::lscv_pair_partial(conv, loo, n, hs[b]);
-            });
-        for (std::size_t m = 0; m < kSums; ++m) {
-          cs_all[r * kSums + m] = conv_sweep.sums[m];
-          ls_all[r * kSums + m] = loo_sweep.sums[m];
-        }
-        clo_all[r] = conv_sweep.lo;
-        chi_all[r] = conv_sweep.hi;
-        llo_all[r] = loo_sweep.lo;
-        lhi_all[r] = loo_sweep.hi;
-      });
+      carry.seed = b0 == 0;
+      // Slab-relative rows: the halo guarantees the slab never truncates
+      // an admission, so the slab-edge guards decide exactly as the
+      // resident full-array guards.
+      detail::launch_pass(device, "kde_lscv_sweep_tile", tpb, sweep,
+                          n0 - slab_begin, nb, hs, &carry,
+                          [&](std::size_t b, std::size_t r, double conv,
+                              double loo) {
+                            partial_all[b * nb + r] =
+                                detail::lscv_pair_partial(conv, loo, n, hs[b]);
+                          });
 
       // Phase 1 of the resident reduction, continued across n-blocks.
       detail::lane_fold<double>(device, "lscv_lane_accum", lanes, b0,
@@ -430,47 +336,48 @@ SelectionResult SpmdKdeSelector::select(std::span<const double> xs,
   spmd::MemView<double> loo_all = d_loo.view();
   spmd::MemView<double> partial_all = d_partial.view();
 
-  // Main kernel, one thread per observation.
-  const std::size_t max_power = std::max(kpoly.max_power, cpoly.max_power);
-  device_.launch(
-      "kde_lscv_sweep", spmd::LaunchConfig::cover(n, tpb),
-      [&, n, k](const spmd::ThreadCtx& t) {
-        const std::size_t i = t.global_idx();
-        if (i >= n) {
-          return;
-        }
-        if (window) {
-          // Window sweep: two monotone admission windows over the
-          // device-global sorted X; no private row, no per-thread sort.
-          // The two pair sums combine immediately into the thread's
-          // bandwidth-major LSCV partials.
-          detail::kde_window_sweep_thread(
-              dxs, hs, kpoly, cpoly, i,
-              [&](std::size_t b, double conv, double loo) {
-                partial_all[b * n + i] =
-                    detail::lscv_pair_partial(conv, loo, n, hs[b]);
-              });
-          return;
-        }
-        std::span<double> row = rows.subspan(i * n, n);
-        const double xi = dxs[i];
-        for (std::size_t l = 0; l < n; ++l) {
-          const double d = dxs[l] - xi;
-          row[l] = d < 0.0 ? -d : d;
-        }
-        sort::iterative_quicksort(row);
+  // Main kernel, one thread per observation. Window: two monotone
+  // admission windows over the device-global sorted X, no private row, no
+  // per-thread sort; the two pair sums combine immediately into the
+  // thread's bandwidth-major LSCV partials.
+  if (window) {
+    detail::launch_pass(device_, "kde_lscv_sweep", tpb,
+                        detail::KdeWindow{dxs, kpoly, cpoly}, 0, n, hs,
+                        nullptr,
+                        [&](std::size_t b, std::size_t i, double conv,
+                            double loo) {
+                          partial_all[b * n + i] =
+                              detail::lscv_pair_partial(conv, loo, n, hs[b]);
+                        });
+  } else {
+    const std::size_t max_power = std::max(kpoly.max_power, cpoly.max_power);
+    device_.launch(
+        "kde_lscv_sweep", spmd::LaunchConfig::cover(n, tpb),
+        [&, n, k](const spmd::ThreadCtx& t) {
+          const std::size_t i = t.global_idx();
+          if (i >= n) {
+            return;
+          }
+          std::span<double> row = rows.subspan(i * n, n);
+          const double xi = dxs[i];
+          for (std::size_t l = 0; l < n; ++l) {
+            const double d = dxs[l] - xi;
+            row[l] = d < 0.0 ? -d : d;
+          }
+          sort::iterative_quicksort(row);
 
-        detail::MomentSweep conv_sweep;
-        detail::MomentSweep loo_sweep;
-        for (std::size_t b = 0; b < k; ++b) {
-          const double h = hs[b];
-          conv_sweep.admit_through(row, cpoly.support_scale * h, max_power);
-          loo_sweep.admit_through(row, kpoly.support_scale * h, max_power);
-          // Bandwidth-major for contiguous per-bandwidth reductions.
-          conv_all[b * n + i] = conv_sweep.combine(cpoly, h);
-          loo_all[b * n + i] = loo_sweep.combine(kpoly, h);
-        }
-      });
+          detail::MomentSweep conv_sweep;
+          detail::MomentSweep loo_sweep;
+          for (std::size_t b = 0; b < k; ++b) {
+            const double h = hs[b];
+            conv_sweep.admit_through(row, cpoly.support_scale * h, max_power);
+            loo_sweep.admit_through(row, kpoly.support_scale * h, max_power);
+            // Bandwidth-major for contiguous per-bandwidth reductions.
+            conv_all[b * n + i] = conv_sweep.combine(cpoly, h);
+            loo_all[b * n + i] = loo_sweep.combine(kpoly, h);
+          }
+        });
+  }
 
   // Single-block reductions, one launch per matrix (the window partials,
   // or the per-row conv and loo sums), then assemble the LSCV scores.

@@ -49,7 +49,8 @@ struct SpmdKdeConfig {
 ///      grid with two admission pointers (supports h and 2h), writing
 ///      per-(i, h) leave-one-out and convolution sums, bandwidth-major.
 ///      Window: grow the two admission windows over the globally sorted X
-///      (kde_window_sweep_thread) and write the combined LSCV partial.
+///      (detail::KdeWindow, one detail::launch_pass per window launch) and
+///      write the combined LSCV partial.
 ///   3. Single-block Harris reductions (2k per-row, k window) produce the
 ///      per-bandwidth totals; the LSCV scores assemble on the host and one
 ///      argmin reduction picks the bandwidth.

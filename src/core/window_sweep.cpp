@@ -3,9 +3,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/detail/device_sweep.hpp"
+#include "core/detail/window_drivers.hpp"
+#include "core/detail/window_policy.hpp"
 #include "core/validate_grid.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sort/argsort.hpp"
 
 namespace kreg {
@@ -52,159 +52,18 @@ void check_window_inputs(const data::Dataset& data,
 }
 
 template <class Scalar>
-std::vector<double> profile_sequential(const data::Dataset& data,
-                                       std::span<const double> grid,
-                                       KernelType kernel) {
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  std::vector<Scalar> host_grid(grid.begin(), grid.end());
-
-  // The CV criterion sums squared residuals over *all* observations, so the
-  // sweep can visit them in sorted order — no inverse permutation needed.
-  std::vector<double> totals(k, 0.0);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    detail::window_sweep_thread<Scalar>(
-        std::span<const Scalar>(sorted.x), std::span<const Scalar>(sorted.y),
-        std::span<const Scalar>(host_grid), poly, pos,
-        [&](std::size_t b, Scalar sq) {
-          totals[b] += static_cast<double>(sq);
-        });
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
-}
-
-template <class Scalar>
-std::vector<double> profile_parallel(const data::Dataset& data,
-                                     std::span<const double> grid,
-                                     KernelType kernel,
-                                     parallel::ThreadPool* pool) {
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-
-  // One global sort, shared read-only by every worker.
+std::vector<double> profile(const data::Dataset& data,
+                            std::span<const double> grid, KernelType kernel,
+                            const HostTiling* tiling,
+                            parallel::ThreadPool* pool) {
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const std::vector<Scalar> host_grid(grid.begin(), grid.end());
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
+  const detail::NwWindow<Scalar> sweep{sorted.x, sorted.y,
+                                       sweep_polynomial(kernel)};
   const std::span<const Scalar> hs(host_grid);
-
-  // One private accumulator per worker slice; combined in slice order so
-  // the result is independent of scheduling.
-  const std::vector<parallel::BlockedRange> slices =
-      parallel::partition_evenly(n, pool->size());
-  std::vector<std::vector<double>> partials(slices.size(),
-                                            std::vector<double>(k, 0.0));
-
-  parallel::parallel_for(
-      slices.size(),
-      [&](std::size_t s) {
-        std::vector<double>& acc = partials[s];
-        for (std::size_t pos = slices[s].begin; pos < slices[s].end; ++pos) {
-          detail::window_sweep_thread<Scalar>(
-              xs, ys, hs, poly, pos, [&](std::size_t b, Scalar sq) {
-                acc[b] += static_cast<double>(sq);
-              });
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
-}
-
-template <class Scalar>
-std::vector<double> profile_tiled(const data::Dataset& data,
-                                  std::span<const double> grid,
-                                  KernelType kernel, HostTiling tiling,
-                                  parallel::ThreadPool* pool) {
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  const std::size_t terms = poly.max_power + 1;
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-  // Auto tiling: a tile's carry is 2 pointers + 2·terms scalars per
-  // observation (≤ 128 B at terms = 7 double); 2048 observations keep it
-  // within a ~256 KiB L2 slice alongside the sorted-array window it reads.
-  const std::size_t n_block = tiling.n_block != 0 ? tiling.n_block : 2048;
-  const std::size_t k_block =
-      tiling.k_block != 0 ? std::min(tiling.k_block, k) : std::min<std::size_t>(64, k);
-
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  const std::vector<Scalar> host_grid(grid.begin(), grid.end());
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
-
-  const std::size_t tiles = (n + n_block - 1) / n_block;
-  std::vector<std::vector<double>> partials(tiles,
-                                            std::vector<double>(k, 0.0));
-
-  parallel::parallel_for(
-      tiles,
-      [&](std::size_t tile) {
-        const std::size_t begin = tile * n_block;
-        const std::size_t nb = std::min(n_block, n - begin);
-        std::vector<double>& acc = partials[tile];
-
-        // Carried window state for every observation in the tile.
-        std::vector<std::size_t> lo(nb);
-        std::vector<std::size_t> hi(nb);
-        std::vector<Scalar> sm(nb * terms);
-        std::vector<Scalar> tm(nb * terms);
-        for (std::size_t r = 0; r < nb; ++r) {
-          detail::window_sweep_seed<Scalar>(
-              ys, begin + r, lo[r], hi[r],
-              std::span<Scalar>(sm.data() + r * terms, terms),
-              std::span<Scalar>(tm.data() + r * terms, terms));
-        }
-
-        // k-blocks innermost, in ascending order (monotone windows): each
-        // (tile, k-block) cell touches only the tile's carry and a k_block
-        // slice of the accumulator.
-        for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
-          const std::size_t kb = std::min(k_block, k - b0);
-          const std::span<const Scalar> hs(host_grid.data() + b0, kb);
-          for (std::size_t r = 0; r < nb; ++r) {
-            detail::window_sweep_resume<Scalar>(
-                xs, ys, hs, poly, begin + r, lo[r], hi[r],
-                std::span<Scalar>(sm.data() + r * terms, terms),
-                std::span<Scalar>(tm.data() + r * terms, terms),
-                [&](std::size_t b, Scalar sq) {
-                  acc[b0 + b] += static_cast<double>(sq);
-                });
-          }
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  return totals;
+  return tiling == nullptr
+             ? detail::sequential_profile(sweep, hs)
+             : detail::tiled_profile(sweep, hs, *tiling, pool);
 }
 
 }  // namespace
@@ -214,19 +73,8 @@ std::vector<double> window_cv_profile(const data::Dataset& data,
                                       KernelType kernel, Precision precision) {
   check_window_inputs(data, grid, kernel, "window_cv_profile");
   return precision == Precision::kFloat
-             ? profile_sequential<float>(data, grid, kernel)
-             : profile_sequential<double>(data, grid, kernel);
-}
-
-std::vector<double> window_cv_profile_parallel(const data::Dataset& data,
-                                               std::span<const double> grid,
-                                               KernelType kernel,
-                                               Precision precision,
-                                               parallel::ThreadPool* pool) {
-  check_window_inputs(data, grid, kernel, "window_cv_profile_parallel");
-  return precision == Precision::kFloat
-             ? profile_parallel<float>(data, grid, kernel, pool)
-             : profile_parallel<double>(data, grid, kernel, pool);
+             ? profile<float>(data, grid, kernel, nullptr, nullptr)
+             : profile<double>(data, grid, kernel, nullptr, nullptr);
 }
 
 std::vector<double> window_cv_profile_tiled(const data::Dataset& data,
@@ -237,8 +85,8 @@ std::vector<double> window_cv_profile_tiled(const data::Dataset& data,
                                             parallel::ThreadPool* pool) {
   check_window_inputs(data, grid, kernel, "window_cv_profile_tiled");
   return precision == Precision::kFloat
-             ? profile_tiled<float>(data, grid, kernel, tiling, pool)
-             : profile_tiled<double>(data, grid, kernel, tiling, pool);
+             ? profile<float>(data, grid, kernel, &tiling, pool)
+             : profile<double>(data, grid, kernel, &tiling, pool);
 }
 
 HostTiling host_tiling_from_stream(const StreamingConfig& stream) {
@@ -251,7 +99,7 @@ HostTiling host_tiling_from_stream(const StreamingConfig& stream) {
       budget = env_memory_budget();
     }
     if (budget != 0) {
-      // The profile_tiled auto-tiling doc's carry model: ≲128 B per
+      // The tiled_profile auto-tiling doc's carry model: ≲128 B per
       // observation (two pointers + two moment vectors at terms = 7).
       tiling.n_block = std::max<std::size_t>(1, budget / 128);
     }

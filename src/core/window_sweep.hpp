@@ -53,19 +53,11 @@ extern template SortedDataset<double> sort_dataset<double>(
 /// Full CV profile CV_lc(h) for every h in the (strictly ascending) grid via
 /// the window sweep, sequentially over observations. Requires a sweepable
 /// kernel. Matches `sweep_cv_profile` to floating-point recombination error.
+/// The sweep itself is detail::NwWindow (core/detail/window_policy.hpp).
 std::vector<double> window_cv_profile(const data::Dataset& data,
                                       std::span<const double> grid,
                                       KernelType kernel,
                                       Precision precision = Precision::kDouble);
-
-/// Same profile with observations distributed across a thread pool
-/// (deterministic combination order; the global sort is done once, on the
-/// calling thread, and shared read-only by all workers). nullptr = global
-/// pool.
-std::vector<double> window_cv_profile_parallel(
-    const data::Dataset& data, std::span<const double> grid, KernelType kernel,
-    Precision precision = Precision::kDouble,
-    parallel::ThreadPool* pool = nullptr);
 
 /// Cache-blocking parameters of `window_cv_profile_tiled`. 0 = auto:
 /// n_block is sized so one tile's carried window state (two pointers plus
@@ -83,10 +75,12 @@ struct HostTiling {
 /// innermost, and every (tile, k-block) cell accumulates into the tile's
 /// private score slice. The k-blocks of one tile must run in ascending
 /// order (the admission windows are monotone in h), so parallelism is
-/// across tiles only. Tile partials combine in tile order — the result is
-/// deterministic, and matches `window_cv_profile` up to summation
-/// regrouping (exact when each tile's additions commute, else within
-/// floating-point reassociation error).
+/// across tiles only. Tile partials combine in tile order — the result
+/// depends on the tiling alone, the same bits on every pool, and matches
+/// `window_cv_profile` up to summation regrouping (bitwise when one tile
+/// covers n). Blocks larger than (n, k) clamp to it. This is the host's
+/// parallel profile: WindowSweepSelector's `parallel` mode runs it with
+/// auto tiling.
 std::vector<double> window_cv_profile_tiled(
     const data::Dataset& data, std::span<const double> grid, KernelType kernel,
     Precision precision = Precision::kDouble, HostTiling tiling = {},

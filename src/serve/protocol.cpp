@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -80,6 +81,11 @@ GridSpec parse_grid_spec(std::string_view text) {
   const std::uint64_t count = parse_u64(text.substr(second + 1), "grid count");
   if (count == 0) {
     throw std::invalid_argument("parse_request: grid count must be positive");
+  }
+  if (count > kMaxGridPoints) {
+    throw std::invalid_argument("parse_request: grid count " +
+                                std::to_string(count) + " exceeds the limit " +
+                                std::to_string(kMaxGridPoints));
   }
   spec.count = static_cast<std::size_t>(count);
   return spec;
@@ -174,6 +180,11 @@ Request parse_request(std::string_view line) {
       const std::uint64_t n = parse_u64(value, "n");
       if (n < 2) {
         throw std::invalid_argument("parse_request: n must be >= 2");
+      }
+      if (n > kMaxRequestN) {
+        throw std::invalid_argument("parse_request: n " + std::to_string(n) +
+                                    " exceeds the limit " +
+                                    std::to_string(kMaxRequestN));
       }
       request.n = static_cast<std::size_t>(n);
     } else if (key == "seed") {

@@ -30,6 +30,15 @@ enum class RequestKind { kSelect, kStats, kPing, kShutdown };
 /// error and is disconnected instead of growing the daemon's memory.
 inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
+/// Largest dataset a select may ask for: 2^24 observations, 256 MiB of x
+/// and y. The daemon generates a dataset under the registry lock every
+/// other select waits on and keeps it until exit, so an unbounded n would
+/// stall the daemon and exhaust its memory from one request line.
+inline constexpr std::size_t kMaxRequestN = std::size_t{1} << 24;
+
+/// Largest grid a select may ask for (grid=lo:hi:count): 2^16 points.
+inline constexpr std::size_t kMaxGridPoints = std::size_t{1} << 16;
+
 /// Grid range requested by a select line; unset means "use the library
 /// default for the dataset" (BandwidthGrid::default_for /
 /// default_neighbor_grid).

@@ -274,10 +274,12 @@ TEST_P(GoldenRegression, EveryBackendReproducesTheGoldenCvProfile) {
                  fx.expected, "parallel-per-row-sort");
   expect_profile(kreg::WindowSweepSelector().select(data, grid).scores,
                  fx.expected, "window");
-  expect_profile(
-      kreg::window_cv_profile_parallel(data, grid.values(),
-                                       KernelType::kEpanechnikov),
-      fx.expected, "window-parallel");
+  expect_profile(kreg::WindowSweepSelector(KernelType::kEpanechnikov,
+                                           Precision::kDouble,
+                                           /*parallel=*/true)
+                     .select(data, grid)
+                     .scores,
+                 fx.expected, "window-parallel");
 
   // Device backends (double precision; float cannot hold 1e-12).
   kreg::spmd::Device dev;
@@ -360,10 +362,6 @@ TEST_P(GoldenKde, EveryBackendReproducesTheGoldenLscvProfile) {
       kreg::kde_window_lscv_profile(xs, grid.values(),
                                     KernelType::kEpanechnikov),
       fx.expected, "kde-window");
-  expect_profile(
-      kreg::kde_window_lscv_profile_parallel(xs, grid.values(),
-                                             KernelType::kEpanechnikov),
-      fx.expected, "kde-window-parallel");
 
   kreg::spmd::Device dev;
   kreg::SpmdKdeConfig per_row;

@@ -154,18 +154,6 @@ TEST(KdeWindow, MatchesPerRowSweepProfile) {
   }
 }
 
-TEST(KdeWindow, ParallelMatchesSequential) {
-  const std::vector<double> xs = sample(400, 73);
-  const BandwidthGrid grid(0.05, 1.5, 40);
-  const auto seq = kreg::kde_window_lscv_profile(xs, grid.values(),
-                                                 KernelType::kEpanechnikov);
-  const auto par = kreg::kde_window_lscv_profile_parallel(
-      xs, grid.values(), KernelType::kEpanechnikov);
-  for (std::size_t b = 0; b < grid.size(); ++b) {
-    EXPECT_NEAR(par[b], seq[b], 1e-11 * std::max(1.0, std::abs(seq[b])));
-  }
-}
-
 TEST(KdeWindow, SelectionMatchesSweepSelect) {
   const std::vector<double> xs = sample(300, 74);
   const BandwidthGrid grid(0.05, 1.5, 25);

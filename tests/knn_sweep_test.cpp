@@ -2,9 +2,10 @@
 // reference, plus the bitwise contract across backends — the sequential
 // window sweep, the device path, and every streamed k-block plan must
 // reproduce the naive profile bit-for-bit (their per-k score folds run in
-// the same ascending observation order); the parallel and tiled profiles
-// regroup that fold at slice/tile boundaries, so they are held to 1e-12
-// and to bitwise equality in the one-tile-covers-n configuration.
+// the same ascending observation order); the tiled profile regroups that
+// fold at tile boundaries, so it is held to 1e-12, to bitwise equality in
+// the one-tile-covers-n configuration, and — for the shared tiled driver
+// of every window estimator — to the same bits on every pool.
 //
 // Regenerating the golden arrays (only after an *intentional* numeric
 // change): evaluate knn_cv_profile_naive on
@@ -14,15 +15,20 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/job.hpp"
 #include "core/kreg.hpp"
 #include "rng/stream.hpp"
 #include "spmd/device.hpp"
 
 namespace {
 
+using kreg::BandwidthGrid;
 using kreg::HostTiling;
 using kreg::KnnDeviceConfig;
 using kreg::Precision;
@@ -133,9 +139,9 @@ TEST_P(GoldenKnn, EveryBackendReproducesTheGoldenProfile) {
       kreg::knn_cv_profile_device(dev, data, gc.kgrid, streamed), naive,
       "spmd-k-block-3");
 
-  // Tolerance tier: parallel and tiled regroup the score fold.
-  expect_near_profile(kreg::knn_cv_profile_parallel(data, gc.kgrid),
-                      gc.expected, "parallel");
+  // Tolerance tier: tiled regroups the score fold.
+  expect_near_profile(kreg::knn_cv_profile_tiled(data, gc.kgrid),
+                      gc.expected, "tiled-auto");
   expect_near_profile(
       kreg::knn_cv_profile_tiled(data, gc.kgrid, Precision::kDouble,
                                  HostTiling{7, 3}),
@@ -211,17 +217,116 @@ INSTANTIATE_TEST_SUITE_P(Precisions, KnnBitwise,
                                                                   : "Double";
                          });
 
+// The host's parallel profile is the tiled one with auto tiling on the
+// global pool: tolerance-equal to the sequential sweep, and the same bits
+// on every rerun.
 TEST(KnnParallel, DeterministicAndToleranceEqual) {
   const Dataset data = fixture(200);
   const std::vector<double> sequential =
       kreg::knn_cv_profile(data, kGridN200);
   const std::vector<double> first =
-      kreg::knn_cv_profile_parallel(data, kGridN200);
+      kreg::knn_cv_profile_tiled(data, kGridN200);
   expect_near_profile(first, sequential, "parallel-vs-sequential");
   for (int run = 0; run < 3; ++run) {
-    expect_bitwise_profile(kreg::knn_cv_profile_parallel(data, kGridN200),
+    expect_bitwise_profile(kreg::knn_cv_profile_tiled(data, kGridN200),
                            first, "parallel-rerun");
   }
+}
+
+// The shared tiled driver combines tile partials in tile order, so the
+// kHostTiled backend promises the same bits on every pool (core/job.hpp;
+// the serve cache relies on it). Every window estimator, plus the
+// lane-batched NW profile, on pools of 1, 2 and 4 workers with tiles that
+// split both n and the grid.
+TEST(TiledPools, SameBitsOnEveryPool) {
+  const auto data = std::make_shared<const Dataset>(fixture(200));
+  const BandwidthGrid grid = BandwidthGrid::default_for(*data, 12);
+  const HostTiling tiling{37, 3};
+  std::vector<kreg::SelectionJob> jobs(3);
+  jobs[0].estimator = kreg::EstimatorKind::kNadarayaWatson;
+  jobs[1].estimator = kreg::EstimatorKind::kKnn;
+  jobs[2].estimator = kreg::EstimatorKind::kOscv;
+  for (kreg::SelectionJob& job : jobs) {
+    job.data = data;
+    job.tiling = tiling;
+    if (job.estimator == kreg::EstimatorKind::kKnn) {
+      job.neighbor_grid.assign(kGridN200.begin(), kGridN200.end());
+    } else {
+      job.bandwidth_grid = grid.values();
+    }
+  }
+
+  const std::size_t workers[] = {1, 2, 4};
+  for (kreg::SelectionJob job : jobs) {
+    const std::string name(kreg::to_string(job.estimator));
+    job.backend = kreg::JobBackend::kHostSweep;
+    const std::vector<double> sequential = kreg::run_job(job, {}).scores;
+    job.backend = kreg::JobBackend::kHostTiled;
+    std::vector<double> first;
+    for (const std::size_t w : workers) {
+      kreg::parallel::ThreadPool pool(w);
+      std::vector<double> scores =
+          kreg::run_job(job, kreg::JobContext{nullptr, &pool}).scores;
+      if (first.empty()) {
+        first = std::move(scores);
+      } else {
+        expect_bitwise_profile(scores, first, (name + " pool").c_str());
+      }
+    }
+    expect_near_profile(first, sequential, (name + " vs host").c_str());
+  }
+
+  const std::vector<double> sequential = kreg::window_cv_profile(
+      *data, grid.values(), kreg::KernelType::kEpanechnikov);
+  std::vector<double> first;
+  for (const std::size_t w : workers) {
+    kreg::parallel::ThreadPool pool(w);
+    std::vector<double> scores = kreg::window_cv_profile_batched(
+        *data, grid.values(), kreg::KernelType::kEpanechnikov,
+        Precision::kDouble, tiling, &pool);
+    if (first.empty()) {
+      first = std::move(scores);
+    } else {
+      expect_bitwise_profile(scores, first, "batched pool");
+    }
+  }
+  expect_near_profile(first, sequential, "batched vs host");
+}
+
+// Blocks beyond (n, |grid|) clamp to one tile: SIZE_MAX, which the CLI's
+// strtoul also makes of --n-block -1, once wrapped the tile count to zero
+// and returned an all-zero profile.
+TEST(TiledPools, HugeBlocksClampToOneTile) {
+  const Dataset data = fixture(200);
+  const BandwidthGrid grid = BandwidthGrid::default_for(data, 12);
+  const std::size_t n = data.size();
+  const std::size_t k = grid.size();
+  const HostTiling huge{SIZE_MAX, SIZE_MAX};
+  const HostTiling one{n, k};
+  const auto kernel = kreg::KernelType::kEpanechnikov;
+  expect_bitwise_profile(
+      kreg::window_cv_profile_tiled(data, grid.values(), kernel,
+                                    Precision::kDouble, huge),
+      kreg::window_cv_profile_tiled(data, grid.values(), kernel,
+                                    Precision::kDouble, one),
+      "nw tiled");
+  expect_bitwise_profile(
+      kreg::window_cv_profile_batched(data, grid.values(), kernel,
+                                      Precision::kDouble, huge),
+      kreg::window_cv_profile_batched(data, grid.values(), kernel,
+                                      Precision::kDouble, one),
+      "nw batched");
+  expect_bitwise_profile(
+      kreg::knn_cv_profile_tiled(data, kGridN200, Precision::kDouble, huge),
+      kreg::knn_cv_profile_tiled(data, kGridN200, Precision::kDouble,
+                                 HostTiling{n, kGridN200.size()}),
+      "knn tiled");
+  expect_bitwise_profile(
+      kreg::oscv_profile_tiled(data, grid.values(), kernel,
+                               Precision::kDouble, huge),
+      kreg::oscv_profile_tiled(data, grid.values(), kernel,
+                               Precision::kDouble, one),
+      "oscv tiled");
 }
 
 TEST(KnnEstimator, PermutationInvariantWithinTolerance) {

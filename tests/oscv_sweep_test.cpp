@@ -2,8 +2,9 @@
 // reference, the closed-form rescale constants against published values,
 // and the bitwise contract across backends — sequential, device resident,
 // and every streamed k-block plan reproduce the naive profile exactly,
-// while parallel/tiled (which regroup the score fold) are held to 1e-12
-// and to bitwise equality in the one-tile configuration.
+// while tiled (which regroups the score fold) is held to 1e-12 and to
+// bitwise equality in the one-tile configuration; its same-bits-on-every-
+// pool contract is held in knn_sweep_test (TiledPools).
 //
 // Regenerating the golden arrays (only after an *intentional* numeric
 // change): evaluate oscv_profile_naive on
@@ -136,9 +137,8 @@ TEST_P(GoldenOscv, EveryBackendReproducesTheGoldenProfile) {
       naive, "spmd-k-block-5");
 
   // Tolerance tier.
-  expect_near_profile(
-      kreg::oscv_profile_parallel(data, grid.values(), gc.kernel),
-      gc.expected, "parallel");
+  expect_near_profile(kreg::oscv_profile_tiled(data, grid.values(), gc.kernel),
+                      gc.expected, "tiled-auto");
   expect_near_profile(
       kreg::oscv_profile_tiled(data, grid.values(), gc.kernel,
                                Precision::kDouble, HostTiling{7, 3}),
@@ -264,18 +264,21 @@ TEST(OscvDegenerate, EmptyWindowsContributeZero) {
       "degenerate");
 }
 
+// The host's parallel profile is the tiled one with auto tiling on the
+// global pool: tolerance-equal to the sequential sweep, and the same bits
+// on every rerun.
 TEST(OscvParallel, DeterministicAndToleranceEqual) {
   const Dataset data = fixture(200);
   const BandwidthGrid grid = BandwidthGrid::default_for(data, 12);
   const std::vector<double> sequential =
       kreg::oscv_profile(data, grid.values(), KernelType::kEpanechnikov);
-  const std::vector<double> first = kreg::oscv_profile_parallel(
+  const std::vector<double> first = kreg::oscv_profile_tiled(
       data, grid.values(), KernelType::kEpanechnikov);
   expect_near_profile(first, sequential, "parallel-vs-sequential");
   for (int run = 0; run < 3; ++run) {
     expect_bitwise_profile(
-        kreg::oscv_profile_parallel(data, grid.values(),
-                                    KernelType::kEpanechnikov),
+        kreg::oscv_profile_tiled(data, grid.values(),
+                                 KernelType::kEpanechnikov),
         first, "parallel-rerun");
   }
 }

@@ -509,11 +509,20 @@ TEST(ParseRequest, RejectsMalformedSelects) {
       "select precision=half",    "select kernel=boxcar",
       "select dgp=",              "select budget=1.5X",
       "select lane=8",
+      // Over the caps: one line must not stall the registry or ask for
+      // tens of GB.
+      "select n=16777217",        "select n=4000000000",
+      "select grid=0.1:0.9:65537",
   };
   for (const char* line : bad) {
     EXPECT_THROW(kreg::serve::parse_request(line), std::invalid_argument)
         << "line='" << line << "'";
   }
+  // Exactly at each cap parses (parsing allocates nothing).
+  EXPECT_EQ(kreg::serve::parse_request("select n=16777216").n,
+            kreg::serve::kMaxRequestN);
+  EXPECT_EQ(kreg::serve::parse_request("select grid=0.1:0.9:65536").grid.count,
+            kreg::serve::kMaxGridPoints);
 }
 
 TEST(ParseKernelAndPrecision, RoundTripsAndRejects) {

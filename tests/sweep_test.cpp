@@ -9,9 +9,11 @@
 
 #include "core/grid.hpp"
 #include "core/loocv.hpp"
+#include "core/selectors.hpp"
 #include "core/sorted_sweep.hpp"
 #include "core/window_sweep.hpp"
 #include "data/dgp.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/stream.hpp"
 
 namespace {
@@ -23,7 +25,6 @@ using kreg::Precision;
 using kreg::sweep_cv_profile;
 using kreg::sweep_cv_profile_parallel;
 using kreg::window_cv_profile;
-using kreg::window_cv_profile_parallel;
 using kreg::data::Dataset;
 using kreg::rng::Stream;
 
@@ -254,13 +255,18 @@ TEST(WindowSweep, MatchesPerRowSortProfileClosely) {
 }
 
 TEST(WindowSweep, ParallelMatchesSequential) {
+  // The selector's parallel mode: the tiled profile on the given pool.
   Stream s(42);
   const Dataset d = kreg::data::paper_dgp(700, s);
   const BandwidthGrid grid = BandwidthGrid::default_for(d, 50);
   const auto seq = window_cv_profile(d, grid.values(),
                                      KernelType::kEpanechnikov);
-  const auto par = window_cv_profile_parallel(d, grid.values(),
-                                              KernelType::kEpanechnikov);
+  kreg::parallel::ThreadPool pool(4);
+  const auto par = kreg::WindowSweepSelector(KernelType::kEpanechnikov,
+                                             Precision::kDouble,
+                                             /*parallel=*/true, &pool)
+                       .select(d, grid)
+                       .scores;
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t b = 0; b < seq.size(); ++b) {
     EXPECT_NEAR(par[b], seq[b], 1e-11 * std::max(1.0, seq[b]));
