@@ -3,7 +3,9 @@
 // — the residual matrix is written bandwidth-major (k groups of n) so each
 // per-bandwidth reduction reads a contiguous run, instead of
 // observation-major (n groups of k) which forces stride-k reads. Times both
-// layouts at fixed (n, k) and confirms identical selections.
+// layouts of Program 4's per-row sort at fixed (n, k) and confirms
+// identical selections. (The window sweep has no n×k reduction to lay out:
+// it folds bandwidth-major residual blocks in observation order.)
 #include <cstdio>
 
 #include "common/bench_util.hpp"
@@ -19,8 +21,9 @@ int main() {
   const kreg::data::Dataset data = kreg::data::paper_dgp(n, stream);
   kreg::spmd::Device device;
 
-  kreg::bench::banner("ABLATION — residual-matrix layout (SPMD selector, n=" +
-                      std::to_string(n) + ")");
+  kreg::bench::banner(
+      "ABLATION — residual-matrix layout (SPMD per-row sort, n=" +
+      std::to_string(n) + ")");
 
   Table table({"k", "bandwidth-major (s)", "observation-major (s)", "same h?"},
               22);
@@ -28,8 +31,9 @@ int main() {
     const kreg::BandwidthGrid grid = kreg::BandwidthGrid::default_for(data, k);
 
     kreg::SpmdSelectorConfig bm_cfg;
+    bm_cfg.algorithm = kreg::SweepAlgorithm::kPerRowSort;
     bm_cfg.layout = kreg::ResidualLayout::kBandwidthMajor;
-    kreg::SpmdSelectorConfig om_cfg;
+    kreg::SpmdSelectorConfig om_cfg = bm_cfg;
     om_cfg.layout = kreg::ResidualLayout::kObservationMajor;
 
     double h_bm = 0.0;

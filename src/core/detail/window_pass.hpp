@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <span>
+#include <string>
 
 #include "core/batched_sweep.hpp"
 #include "core/detail/batched_lanes.hpp"
 #include "core/detail/device_sweep.hpp"
+#include "core/detail/window_policy.hpp"
 #include "core/kernels.hpp"
 #include "spmd/device.hpp"
 
@@ -119,5 +122,50 @@ void launch_window_pass(spmd::Device& device, const char* name,
     }
   });
 }
+
+/// NW's device pass, the adaptor device_window_totals (window_drivers.hpp)
+/// runs for the NW policy: launch_window_pass at `lane_width`, `tpb`
+/// threads to a block, the state carried in a WindowCarry. `sweep` reads
+/// the host's sorted arrays.
+template <class Scalar>
+struct NwLanePass {
+  using sweep_type = NwWindow<Scalar>;
+
+  /// The carried state of `rows` rows: two pointers and `terms` S_m and
+  /// T_m each.
+  struct Carry {
+    spmd::DeviceBuffer<std::size_t> lo;
+    spmd::DeviceBuffer<std::size_t> hi;
+    spmd::DeviceBuffer<Scalar> s_m;
+    spmd::DeviceBuffer<Scalar> t_m;
+
+    Carry(spmd::Device& device, const NwWindow<Scalar>& sweep,
+          std::size_t rows, const std::string& /*tag*/)
+        : lo(device.alloc_global<std::size_t>(rows, "window-lo")),
+          hi(device.alloc_global<std::size_t>(rows, "window-hi")),
+          s_m(device.alloc_global<Scalar>(rows * (sweep.poly.max_power + 1),
+                                          "moment-s")),
+          t_m(device.alloc_global<Scalar>(rows * (sweep.poly.max_power + 1),
+                                          "moment-t")) {}
+  };
+
+  NwWindow<Scalar> sweep;
+  std::size_t lane_width;
+  std::size_t tpb;
+
+  template <class HView, class Write>
+  void launch(spmd::Device& device, const char* name,
+              const NwWindow<Scalar>& on, std::size_t pos0, std::size_t rows,
+              HView hs, Carry* carry, bool seed, Write write) const {
+    std::optional<WindowCarry<Scalar>> state;
+    if (carry != nullptr) {
+      state = WindowCarry<Scalar>{carry->lo.view(), carry->hi.view(),
+                                  carry->s_m.view(), carry->t_m.view(), seed};
+    }
+    launch_window_pass<Scalar>(device, name, lane_width, tpb, on.xs, on.ys,
+                               pos0, rows, hs, on.poly,
+                               state ? &*state : nullptr, write);
+  }
+};
 
 }  // namespace kreg::detail

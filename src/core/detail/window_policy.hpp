@@ -14,7 +14,8 @@ namespace kreg::detail {
 /// shares: P pointer words plus up to S scalars (the policy's `scalars()`
 /// of them are live). The host tiled driver keeps one per row; a streamed
 /// device pass stores the P words and the live scalars of each row in two
-/// buffers between grid slices (PassCarry, window_drivers.hpp).
+/// buffers between grid slices (PassCarry, window_drivers.hpp; NW's
+/// device pass keeps its own WindowCarry, window_pass.hpp).
 template <class Scalar, std::size_t P, std::size_t S>
 struct WindowState {
   static constexpr std::size_t kWords = P;
@@ -29,21 +30,31 @@ struct WindowState {
 /// state, write)`. `resume` sweeps any ascending slice of the grid from the
 /// carried state and hands `write(b, values...)` the per-entry values at
 /// slice index b. Each policy wraps its estimator's seed/resume bodies
-/// unchanged, so every driver (sequential, tiled, device pass) performs the
+/// unchanged, so every driver (sequential, tiled, device) performs the
 /// same operations per observation and a streamed profile matches the
-/// resident one bitwise. Policies that run on the device also name their
-/// `scalar_type` and the live `scalars()` count the carry stores (NW's
-/// device kernels keep their own pass, window_pass.hpp).
+/// resident one bitwise. For the device driver each policy also names its
+/// `scalar_type`, the live `scalars()` count a carry stores, its `kArrays`
+/// sorted arrays, and `rebind(map)`: the same policy over `map(array)` for
+/// each of them (a device upload or an n-block's halo slab).
 
 /// Nadaraya–Watson LOOCV: words (lo, hi), scalars S_m then T_m (`terms`
 /// each). write(b, sq): the squared LOO residual.
 template <class Scalar>
 struct NwWindow {
+  using scalar_type = Scalar;
   using State = WindowState<Scalar, 2, 2 * (SweepPolynomial::kMaxPower + 1)>;
+  static constexpr std::size_t kArrays = 2;
 
   std::span<const Scalar> xs;
   std::span<const Scalar> ys;
   SweepPolynomial poly;
+
+  std::size_t scalars() const noexcept { return 2 * terms(); }
+
+  template <class Map>
+  NwWindow rebind(Map&& map) const {
+    return {map(xs), map(ys), poly};
+  }
 
   void seed(std::size_t pos, State& st) const {
     window_sweep_seed<Scalar>(ys, pos, st.word[0], st.word[1], s_m(st),
@@ -70,11 +81,17 @@ template <class Scalar>
 struct KnnWindow {
   using scalar_type = Scalar;
   using State = WindowState<Scalar, 2, 2>;
+  static constexpr std::size_t kArrays = 2;
 
   std::span<const Scalar> xs;
   std::span<const Scalar> ys;
 
   static constexpr std::size_t scalars() noexcept { return 2; }
+
+  template <class Map>
+  KnnWindow rebind(Map&& map) const {
+    return {map(xs), map(ys)};
+  }
 
   void seed(std::size_t pos, State& st) const {
     knn_sweep_seed<Scalar>(pos, st.word[0], st.word[1], st.scalar[0],
@@ -94,12 +111,18 @@ template <class Scalar>
 struct OscvWindow {
   using scalar_type = Scalar;
   using State = WindowState<Scalar, 2, 2 * kOscvMaxMoments>;
+  static constexpr std::size_t kArrays = 2;
 
   std::span<const Scalar> xs;
   std::span<const Scalar> ys;
   SweepPolynomial poly;
 
   std::size_t scalars() const noexcept { return 2 * moments(); }
+
+  template <class Map>
+  OscvWindow rebind(Map&& map) const {
+    return {map(xs), map(ys), poly};
+  }
 
   void seed(std::size_t pos, State& st) const {
     oscv_sweep_seed<Scalar>(pos, st.word[0], st.word[1], m_q(st), n_q(st));
@@ -128,12 +151,18 @@ struct KdeWindow {
   using scalar_type = double;
   static constexpr std::size_t kSums = kKdeMaxMoment + 1;
   using State = WindowState<double, 4, 2 * kSums>;
+  static constexpr std::size_t kArrays = 1;
 
   std::span<const double> xs;
   SupportPolynomial kpoly;
   SupportPolynomial cpoly;
 
   static constexpr std::size_t scalars() noexcept { return 2 * kSums; }
+
+  template <class Map>
+  KdeWindow rebind(Map&& map) const {
+    return {map(xs), kpoly, cpoly};
+  }
 
   void seed(std::size_t pos, State& st) const {
     conv(st).seed(pos);

@@ -18,13 +18,15 @@ namespace kreg {
 /// the host combines the partial sums before the final argmin reduction on
 /// device 0.
 ///
-/// Uses the same SpmdSelectorConfig as the single-device selector;
-/// streaming mode composes with it. With the window algorithm (the config
-/// default) the shards become (device × k-block): each device sweeps its
-/// observation slice over the bandwidth grid in k-blocks sized to its own
-/// memory budget (see core/streaming.hpp), carrying the slice's window
-/// state across blocks, so heterogeneous devices each stream at their own
-/// block size while the host accumulates one combined score per bandwidth.
+/// Uses the same SpmdSelectorConfig as the single-device selector. The
+/// above is the per-row sort, and its streaming mode composes with it. With
+/// the window algorithm (the config default) the shards become
+/// (device × n-block × k-block), run by detail::window_device_profile: each
+/// device sweeps its slice of the sorted positions under a plan sized to
+/// its own memory budget (see core/streaming.hpp), so heterogeneous devices
+/// each stream at their own block size, and each bandwidth's running score
+/// total carries from one device's slice to the next, so the profile is the
+/// single-device one (and window_cv_profile's) bit for bit.
 class MultiDeviceGridSelector final : public Selector {
  public:
   /// All devices must outlive the selector. Throws std::invalid_argument
@@ -39,8 +41,9 @@ class MultiDeviceGridSelector final : public Selector {
   /// Per-device footprint for an (n, k) problem split across `devices`
   /// devices (worst slice). For the window algorithm, `k_block` is the
   /// resident bandwidth block (0 = the whole grid) and the estimate covers
-  /// the replicated sorted arrays, the slice's carried window state, and
-  /// one slice×k_block residual block.
+  /// the replicated sorted arrays, the slice's carried window state (only
+  /// when k_block < k), and one slice×k_block residual block with its
+  /// running totals.
   static std::size_t estimated_bytes_per_device(
       std::size_t n, std::size_t k, std::size_t devices, Precision precision,
       bool streaming, SweepAlgorithm algorithm = SweepAlgorithm::kPerRowSort,

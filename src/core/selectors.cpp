@@ -5,6 +5,16 @@
 
 namespace kreg {
 
+std::size_t first_argmin(std::span<const double> scores) noexcept {
+  std::size_t best = 0;
+  for (std::size_t b = 1; b < scores.size(); ++b) {
+    if (scores[b] < scores[best]) {
+      best = b;
+    }
+  }
+  return best;
+}
+
 SelectionResult selection_from_profile(const BandwidthGrid& grid,
                                        std::vector<double> scores,
                                        std::string method) {
@@ -12,12 +22,7 @@ SelectionResult selection_from_profile(const BandwidthGrid& grid,
     throw std::invalid_argument(
         "selection_from_profile: profile/grid size mismatch");
   }
-  std::size_t best = 0;
-  for (std::size_t b = 1; b < scores.size(); ++b) {
-    if (scores[b] < scores[best]) {
-      best = b;
-    }
-  }
+  const std::size_t best = first_argmin(scores);
   SelectionResult result;
   result.bandwidth = grid[best];
   result.cv_score = scores[best];

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/grid.hpp"
@@ -50,8 +52,12 @@ class Selector {
   virtual std::string name() const = 0;
 };
 
-/// Builds a SelectionResult from a computed CV profile: argmin with
-/// smallest-index tie-break (deterministic).
+/// Index of the smallest score, the first one on ties (strict <); 0 for an
+/// empty profile. The one argmin every host-side selection uses.
+std::size_t first_argmin(std::span<const double> scores) noexcept;
+
+/// Builds a SelectionResult from a computed CV profile: first_argmin, so
+/// the smallest index wins ties (deterministic).
 SelectionResult selection_from_profile(const BandwidthGrid& grid,
                                        std::vector<double> scores,
                                        std::string method);

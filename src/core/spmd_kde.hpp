@@ -14,6 +14,9 @@ namespace kreg {
 struct SpmdKdeConfig {
   KernelType kernel = KernelType::kEpanechnikov;
   std::size_t threads_per_block = 512;
+  /// Harris schedule of the per-row path's row reductions. kPerRowSort
+  /// only — the window path folds each bandwidth's partials in ascending
+  /// observation order.
   spmd::ReduceVariant reduce_variant = spmd::ReduceVariant::kSequential;
   /// Per-thread sweep, mirroring SpmdSelectorConfig::algorithm. kWindow
   /// (the default): X is sorted once on the host; device threads grow two
@@ -28,7 +31,7 @@ struct SpmdKdeConfig {
   /// block resident (window state carried in O(n) buffers); n-blocks tile
   /// the observations too, uploading only a halo-padded slab of the sorted
   /// X per block — the halo covers both admission windows at h_max — and
-  /// carrying partial totals in per-lane accumulators, so nothing O(n)
+  /// carrying each bandwidth's running partial total, so nothing O(n)
   /// stays resident. Every tiling matches the resident profile bitwise.
   /// Defaults engage each streaming dimension only when the previous plan
   /// would not fit the device (or an explicit/KREG_MEMORY_BUDGET budget).
@@ -49,11 +52,13 @@ struct SpmdKdeConfig {
 ///      grid with two admission pointers (supports h and 2h), writing
 ///      per-(i, h) leave-one-out and convolution sums, bandwidth-major.
 ///      Window: grow the two admission windows over the globally sorted X
-///      (detail::KdeWindow, one detail::launch_pass per window launch) and
-///      write the combined LSCV partial.
-///   3. Single-block Harris reductions (2k per-row, k window) produce the
-///      per-bandwidth totals; the LSCV scores assemble on the host and one
-///      argmin reduction picks the bandwidth.
+///      (detail::KdeWindow, run by the device window driver
+///      detail::device_window_totals) and write the combined LSCV partial.
+///   3. Per-row: single-block Harris reductions (2k) produce the
+///      per-bandwidth totals. Window: the driver's ordered fold sums each
+///      bandwidth's partials in ascending observation order. The LSCV
+///      scores assemble on the host, which picks the first argmin
+///      (selection_from_profile).
 ///
 /// Only double precision is offered (LSCV subtracts two near-equal O(1)
 /// terms, where float's 7 digits are marginal). Requires
@@ -76,8 +81,8 @@ class SpmdKdeSelector {
 
   /// Predicted device-memory footprint of the *streamed* window plan with
   /// the given k-block: sorted X, the carried window state of both
-  /// admission sweeps, and one n×k_block LSCV-partial block. `k_block = 0`
-  /// gives the k-independent base cost alone.
+  /// admission sweeps, and one n×k_block LSCV-partial block with its
+  /// running totals. `k_block = 0` gives the k-independent base cost alone.
   static std::size_t estimated_streamed_bytes(std::size_t n,
                                               std::size_t k_block);
 

@@ -14,9 +14,9 @@ namespace kreg {
 /// That matrix — not time — is what caps the feasible sample size on the
 /// device, the same wall the paper's Tesla S10 hit at n = 20,000. Streaming
 /// mode tiles the grid into k-blocks: one n×k_block buffer stays resident,
-/// blocks of bandwidths stream through it, each block is reduced to its
-/// per-bandwidth sums immediately, and only the k score totals plus a
-/// running argmin survive on the host. Per-observation window state (the
+/// blocks of bandwidths stream through it, and each block is folded into
+/// its bandwidths' running score totals immediately, so only the k totals
+/// survive. Per-observation window state (the
 /// two pointers and the moment sums) is carried across blocks in O(n)
 /// buffers, so the streamed sweep performs the *same* arithmetic in the
 /// same order as the resident sweep — profiles agree bitwise.
@@ -26,10 +26,10 @@ namespace kreg {
 /// arrays — the block itself plus a halo wide enough to cover the block's
 /// largest admission window at h_max (computed host-side by binary search
 /// on the sorted X, so no device out-of-core sort is needed). The block's
-/// pointers and moment sums live in O(n_block) buffers, and per-bandwidth
-/// score totals carry across blocks in the reduction's own per-lane
-/// accumulators, so the full 2-D (n-block × k-block) tiling still matches
-/// the resident profile bitwise.
+/// pointers and moment sums live in O(n_block) buffers, and each
+/// bandwidth's running score total carries from block to block in
+/// ascending observation order, so the full 2-D (n-block × k-block) tiling
+/// still matches the resident profile bitwise.
 struct StreamingConfig {
   /// Explicit bandwidth-block size. Nonzero forces the streamed path with
   /// exactly this block (clamped to the grid size); 0 derives the block
@@ -66,7 +66,7 @@ struct StreamingPlan {
   bool streamed = false;
   /// True when the backend should take the 2-D (n-block × k-block) tiled
   /// path: observations stream through a halo slab and score totals carry
-  /// across blocks in per-lane accumulators. Implies `streamed`.
+  /// across blocks. Implies `streamed`.
   bool n_streamed = false;
   /// The budget the plan was sized against (0 = none consulted).
   std::size_t budget_bytes = 0;
@@ -118,8 +118,8 @@ StreamingPlan resolve_streaming(const StreamingConfig& config, std::size_t k,
 
 /// Byte model of one candidate 2-D tile: the modeled device footprint of a
 /// plan holding `n_block` observations and `k_block` bandwidths resident
-/// (slab + halo, carry state, residual block, and — when n_block < n — the
-/// carried per-lane score accumulators).
+/// (slab + halo, carry state, residual block and its running score
+/// totals).
 using TileBytesFn =
     std::function<std::size_t(std::size_t n_block, std::size_t k_block)>;
 

@@ -51,7 +51,9 @@ std::vector<Ap> decompose_aps(const std::vector<long long>& sorted_unique) {
 
 namespace {
 
-using i128 = __int128;
+// 128-bit intermediates keep the products of 64-bit strides exact.
+// __int128 is a GNU extension; __extension__ marks it so under -Wpedantic.
+__extension__ typedef __int128 i128;
 
 long long ext_gcd(long long a, long long b, long long& x, long long& y) {
   if (b == 0) {

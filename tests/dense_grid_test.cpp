@@ -41,8 +41,8 @@ TEST_P(DenseGridKernelTest, MatchesNaiveProfileExactly) {
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, DenseGridKernelTest,
                          ::testing::ValuesIn(kreg::kAllKernels),
-                         [](const auto& info) {
-                           return std::string(kreg::to_string(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(kreg::to_string(suite_info.param));
                          });
 
 TEST(DenseGrid, ParallelVariantAgrees) {

@@ -323,10 +323,13 @@ TEST_P(GoldenRegression, EveryBackendReproducesTheGoldenCvProfile) {
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenRegression,
                          ::testing::Range<std::size_t>(0, 4),
-                         [](const auto& info) {
-                           const auto& fx = kRegressionFixtures[info.param];
-                           return "n" + std::to_string(fx.n) + "k" +
-                                  std::to_string(fx.k);
+                         [](const auto& suite_info) {
+                           const auto& fx = kRegressionFixtures[suite_info.param];
+                           std::string name = "n";
+                           name += std::to_string(fx.n);
+                           name += "k";
+                           name += std::to_string(fx.k);
+                           return name;
                          });
 
 struct KdeFixture {
@@ -379,10 +382,13 @@ TEST_P(GoldenKde, EveryBackendReproducesTheGoldenLscvProfile) {
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenKde,
                          ::testing::Range<std::size_t>(0, 2),
-                         [](const auto& info) {
-                           const auto& fx = kKdeFixtures[info.param];
-                           return "n" + std::to_string(fx.n) + "k" +
-                                  std::to_string(fx.k);
+                         [](const auto& suite_info) {
+                           const auto& fx = kKdeFixtures[suite_info.param];
+                           std::string name = "n";
+                           name += std::to_string(fx.n);
+                           name += "k";
+                           name += std::to_string(fx.k);
+                           return name;
                          });
 
 }  // namespace

@@ -42,8 +42,8 @@ TEST_P(KdeSweepKernelTest, ProfileMatchesDirectLscv) {
 INSTANTIATE_TEST_SUITE_P(SweepableKernels, KdeSweepKernelTest,
                          ::testing::Values(KernelType::kEpanechnikov,
                                            KernelType::kUniform),
-                         [](const auto& info) {
-                           return std::string(kreg::to_string(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(kreg::to_string(suite_info.param));
                          });
 
 TEST(KdeSweep, ParallelMatchesSequential) {
@@ -137,8 +137,8 @@ TEST_P(KdeWindowKernelTest, ProfileMatchesDirectLscv) {
 INSTANTIATE_TEST_SUITE_P(SweepableKernels, KdeWindowKernelTest,
                          ::testing::Values(KernelType::kEpanechnikov,
                                            KernelType::kUniform),
-                         [](const auto& info) {
-                           return std::string(kreg::to_string(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(kreg::to_string(suite_info.param));
                          });
 
 TEST(KdeWindow, MatchesPerRowSweepProfile) {

@@ -96,8 +96,8 @@ TEST_P(KernelPropertyTest, SweepPolynomialReproducesKernelOnSupport) {
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelPropertyTest,
                          ::testing::ValuesIn(kreg::kAllKernels),
-                         [](const auto& info) {
-                           return std::string(kreg::to_string(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(kreg::to_string(suite_info.param));
                          });
 
 TEST(Kernels, EpanechnikovMatchesPaperFormula) {

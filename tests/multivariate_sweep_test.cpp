@@ -55,9 +55,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          KernelType::kTriangular,
                                          KernelType::kBiweight),
                        ::testing::Values<std::size_t>(1, 2, 3)),
-    [](const auto& info) {
-      return std::string(kreg::to_string(std::get<0>(info.param))) + "_dim" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& suite_info) {
+      return std::string(kreg::to_string(std::get<0>(suite_info.param))) + "_dim" +
+             std::to_string(std::get<1>(suite_info.param));
     });
 
 TEST(RaySweep, CollapsesToUnivariateSweepAtDimOne) {
@@ -243,9 +243,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          KernelType::kTriangular,
                                          KernelType::kBiweight),
                        ::testing::Values<std::size_t>(1, 2, 3)),
-    [](const auto& info) {
-      return std::string(kreg::to_string(std::get<0>(info.param))) + "_dim" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& suite_info) {
+      return std::string(kreg::to_string(std::get<0>(suite_info.param))) + "_dim" +
+             std::to_string(std::get<1>(suite_info.param));
     });
 
 TEST(RayWindow, CollapsesToUnivariateWindowProfileAtDimOne) {

@@ -81,10 +81,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ProtocolParam{250, 25, 5}, ProtocolParam{500, 50, 6},
                       ProtocolParam{97, 13, 7},  // primes: odd partitions
                       ProtocolParam{512, 128, 8}),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_seed" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& suite_info) {
+      std::string name = "n";
+      name += std::to_string(std::get<0>(suite_info.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(suite_info.param));
+      name += "_seed";
+      name += std::to_string(std::get<2>(suite_info.param));
+      return name;
     });
 
 TEST(PaperProtocol, RefinementAgreesWithDenseGridAcrossSelectors) {

@@ -1,7 +1,6 @@
 // Tests for the Harris-style device reductions: agreement with serial
 // reference across sizes/block dims/variants, argmin tie-breaking, the
-// two-level grid reduction, the one-launch row reductions and the carried
-// lane fold of the n-streamed sweeps.
+// two-level grid reduction and the one-launch row reductions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/detail/lane_reduce.hpp"
 #include "rng/stream.hpp"
 #include "spmd/device.hpp"
 #include "spmd/reduce.hpp"
@@ -312,105 +310,6 @@ TEST(ReduceSumRows, WritesDeviceOutputsAndEmptyRowsAreZero) {
                                       std::span<double>(zeros));
   EXPECT_EQ(dev.stats().cooperative_launches, before);  // nothing to launch
   EXPECT_EQ(zeros, std::vector<double>(3, 0.0));
-}
-
-// ---- lane fold of the n-streamed sweeps ------------------------------------
-
-/// The per-lane strided fold the lane helper replaced: thread `lane` walks
-/// the block's rows r ≡ lane − n0 (mod D) for each bandwidth in turn.
-template <class T>
-void strided_lane_fold(std::vector<T>& lanes, std::size_t b0,
-                       const std::vector<T>& residuals, RowLayout block,
-                       std::size_t n0, std::size_t d) {
-  for (std::size_t lane = 0; lane < d; ++lane) {
-    const std::size_t start = (lane + d - n0 % d) % d;
-    for (std::size_t b = 0; b < block.rows; ++b) {
-      for (std::size_t r = start; r < block.length; r += d) {
-        lanes[(b0 + b) * d + lane] +=
-            residuals[b * block.row_pitch + r * block.stride];
-      }
-    }
-  }
-}
-
-template <class T>
-void expect_lane_fold_matches_strided(std::size_t n0, std::size_t nb,
-                                      std::size_t kb, std::size_t b0,
-                                      bool interleaved) {
-  Device dev(DeviceProperties::tiny(std::size_t{16} << 20));
-  const std::size_t d = 64;
-  const std::size_t k = b0 + kb + 1;
-  const RowLayout block = interleaved ? RowLayout::interleaved(kb, nb)
-                                      : RowLayout::contiguous(kb, nb);
-  // Carried lanes already hold earlier blocks' partial sums.
-  std::vector<T> want = wide_values<T>(k * d, 7 * n0 + nb);
-  const std::vector<T> residuals = wide_values<T>(kb * nb, 11 * nb + kb);
-  auto lanes = upload(dev, want);
-  auto resid = upload(dev, residuals);
-  kreg::detail::lane_fold<T>(dev, "lane_fold_test", lanes.view(), b0,
-                             resid.view(), block, n0, d);
-  strided_lane_fold(want, b0, residuals, block, n0, d);
-  for (std::size_t i = 0; i < k * d; ++i) {
-    ASSERT_TRUE(same_bits(lanes.span()[i], want[i])) << "lane slot " << i;
-  }
-}
-
-TEST(LaneFold, MatchesPerLaneStridedFoldAtUnalignedBlockStarts) {
-  const std::size_t d = 64;
-  for (const std::size_t n0 : {std::size_t{1}, d - 1, d + 3, 5 * d + 7}) {
-    for (const std::size_t nb : {std::size_t{1}, d - 1, d, 3 * d + 5}) {
-      for (const std::size_t kb : {std::size_t{1}, std::size_t{3}}) {
-        for (const bool interleaved : {false, true}) {
-          SCOPED_TRACE("n0=" + std::to_string(n0) + " nb=" +
-                       std::to_string(nb) + " kb=" + std::to_string(kb) +
-                       (interleaved ? " interleaved" : " contiguous"));
-          expect_lane_fold_matches_strided<double>(n0, nb, kb, 2,
-                                                   interleaved);
-          expect_lane_fold_matches_strided<float>(n0, nb, kb, 0, interleaved);
-        }
-      }
-    }
-  }
-}
-
-TEST(LaneFold, FoldedBlocksThenTreeEqualTheResidentRowSums) {
-  // Uneven n-blocks folded one after another, then the phase-2 replay, give
-  // exactly the totals of the resident one-launch row reduction.
-  Device dev(DeviceProperties::tiny(std::size_t{16} << 20));
-  const std::size_t d = 64;
-  const std::size_t n = 1000;
-  const std::size_t k = 5;
-  const std::vector<double> host = wide_values<double>(k * n, 23);
-  auto full = upload(dev, host);
-  for (const ReduceVariant variant :
-       {ReduceVariant::kSequential, ReduceVariant::kInterleaved}) {
-    std::vector<double> resident(k);
-    kreg::spmd::reduce_sum_rows<double>(dev, full.view(),
-                                        RowLayout::contiguous(k, n),
-                                        std::span<double>(resident), d,
-                                        variant);
-    auto lanes = upload(dev, std::vector<double>(k * d, 0.0));
-    for (std::size_t n0 = 0; n0 < n; n0 += 77) {
-      const std::size_t nb = std::min<std::size_t>(77, n - n0);
-      std::vector<double> tile(k * nb);
-      for (std::size_t b = 0; b < k; ++b) {
-        for (std::size_t r = 0; r < nb; ++r) {
-          tile[b * nb + r] = host[b * n + n0 + r];
-        }
-      }
-      auto tile_buf = upload(dev, tile);
-      kreg::detail::lane_fold<double>(dev, "lane_fold_test", lanes.view(), 0,
-                                      tile_buf.view(),
-                                      RowLayout::contiguous(k, nb), n0, d);
-    }
-    std::vector<double> streamed(k);
-    kreg::detail::lane_tree_reduce<double>(dev, lanes.view(), d, variant,
-                                           std::span<double>(streamed));
-    for (std::size_t b = 0; b < k; ++b) {
-      EXPECT_TRUE(same_bits(streamed[b], resident[b]))
-          << "bandwidth " << b << " (" << to_string(variant) << ")";
-    }
-  }
 }
 
 }  // namespace

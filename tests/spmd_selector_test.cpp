@@ -416,8 +416,21 @@ TEST(SpmdSelector, StatsShowMainKernelPlusReductions) {
   const Dataset d = paper_data(100, 14);
   const BandwidthGrid grid = BandwidthGrid::default_for(d, 10);
   (void)SpmdGridSelector(dev, double_cfg()).select(d, grid);
+  // The window sweep: one main kernel + the ordered score fold; no tree
+  // reduction and no device argmin.
+  EXPECT_EQ(dev.stats().kernel_launches, 1u + 1u);
+  EXPECT_EQ(dev.stats().cooperative_launches, 0u);
+}
+
+TEST(SpmdSelector, PerRowStatsShowMainKernelPlusReductions) {
+  Device dev;
+  const Dataset d = paper_data(100, 14);
+  const BandwidthGrid grid = BandwidthGrid::default_for(d, 10);
+  SpmdSelectorConfig cfg = double_cfg();
+  cfg.algorithm = SweepAlgorithm::kPerRowSort;
+  (void)SpmdGridSelector(dev, cfg).select(d, grid);
   EXPECT_EQ(dev.stats().kernel_launches, 1u);  // one main kernel
-  // The k sum reductions in one launch + 1 argmin.
+  // Program 4: the k sum reductions in one launch + 1 argmin.
   EXPECT_EQ(dev.stats().cooperative_launches, 1u + 1u);
 }
 

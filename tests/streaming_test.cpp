@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -571,9 +573,10 @@ TEST(StreamedSelector, LaunchesOneKernelPerBlockAndNoDeviceArgmin) {
   SpmdSelectorConfig cfg = resident_cfg();
   cfg.stream.k_block = 3;
   (void)SpmdGridSelector(dev, cfg).select(d, grid);
-  EXPECT_EQ(dev.stats().kernel_launches, 4u);  // ceil(10 / 3) blocks
-  // One row reduction per block; the argmin runs on the host.
-  EXPECT_EQ(dev.stats().cooperative_launches, 4u);
+  // ceil(10 / 3) blocks, each one sweep + one ordered score fold; no tree
+  // reduction, and the argmin runs on the host.
+  EXPECT_EQ(dev.stats().kernel_launches, 4u + 4u);
+  EXPECT_EQ(dev.stats().cooperative_launches, 0u);
 }
 
 TEST(StreamedSelector, TiedXAndTinyDatasetsWithKBlockOne) {
@@ -1066,6 +1069,99 @@ TEST(NStreamedMultiDevice, NameShowsNBlock) {
   cfg.stream.n_block = 21;
   const std::string name = MultiDeviceGridSelector({&a, &b}, cfg).name();
   EXPECT_NE(name.find("nblock=21"), std::string::npos) << name;
+}
+
+// --- one score order: the device fold is the host sweep's ----------------
+
+/// Equal bit patterns: tells -0.0 from 0.0.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// `got` carries exactly the host profile's scores, and its selection is
+/// the first argmin of them.
+void expect_host_bits(const SelectionResult& got,
+                      const std::vector<double>& host,
+                      const BandwidthGrid& grid) {
+  ASSERT_EQ(got.scores.size(), host.size());
+  for (std::size_t b = 0; b < host.size(); ++b) {
+    EXPECT_TRUE(same_bits(got.scores[b], host[b]))
+        << "b=" << b << ": device " << got.scores[b] << " host " << host[b];
+  }
+  const std::size_t best = kreg::first_argmin(got.scores);
+  EXPECT_EQ(got.bandwidth, grid[best]);
+  EXPECT_TRUE(same_bits(got.cv_score, got.scores[best]));
+}
+
+TEST(DeviceScoreOrder, EveryNwPlanShardAndLaneWidthIsTheHostSweepBitwise) {
+  // The device window driver folds each bandwidth's residuals in ascending
+  // observation order, carrying the running total across k-blocks,
+  // n-blocks and device slices — the sequential host sweep's order — so
+  // every device profile is window_cv_profile bit for bit.
+  const BandwidthGrid grid(0.02, 0.9, 17);
+  const StreamingConfig resident{0, 0, 0, false};
+  const StreamingConfig k_blocks{3, 0, 0, true};
+  const StreamingConfig tiles{5, 37, 0, true};
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{257}, std::size_t{3000}}) {
+    const Dataset d = paper_data(n, 41 + n);
+    for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+      const std::vector<double> host = kreg::window_cv_profile(
+          d, grid.values(), KernelType::kEpanechnikov, precision);
+      for (const std::size_t width : {std::size_t{1}, kreg::kLaneWidth}) {
+        for (const StreamingConfig& stream : {resident, k_blocks, tiles}) {
+          SpmdSelectorConfig cfg;
+          cfg.precision = precision;
+          cfg.lane_width = width;
+          cfg.stream = stream;
+          SCOPED_TRACE("n=" + std::to_string(n) + " " +
+                       std::string(kreg::to_string(precision)) +
+                       " lanes=" + std::to_string(width) +
+                       " k_block=" + std::to_string(stream.k_block) +
+                       " n_block=" + std::to_string(stream.n_block));
+          Device dev;
+          expect_host_bits(SpmdGridSelector(dev, cfg).select(d, grid), host,
+                           grid);
+          for (const std::size_t shards : {1u, 2u, 3u}) {
+            std::vector<std::unique_ptr<Device>> owned;
+            std::vector<Device*> devices;
+            for (std::size_t i = 0; i < shards; ++i) {
+              owned.push_back(std::make_unique<Device>());
+              devices.push_back(owned.back().get());
+            }
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            expect_host_bits(
+                MultiDeviceGridSelector(devices, cfg).select(d, grid), host,
+                grid);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DeviceScoreOrder, KdeResidentKBlockAndTiledProfilesAreBitwiseEqual) {
+  const auto xs = kde_sample(700, 43);
+  const BandwidthGrid grid(0.05, 1.5, 23);
+  Device dev;
+  SpmdKdeConfig resident;
+  resident.stream.auto_tune = false;
+  const SelectionResult want = SpmdKdeSelector(dev, resident).select(xs, grid);
+  SpmdKdeConfig k_blocks;
+  k_blocks.stream.k_block = 4;
+  SpmdKdeConfig tiles;
+  tiles.stream.k_block = 5;
+  tiles.stream.n_block = 61;
+  for (const SpmdKdeConfig& cfg : {k_blocks, tiles}) {
+    const SelectionResult got = SpmdKdeSelector(dev, cfg).select(xs, grid);
+    ASSERT_EQ(got.scores.size(), want.scores.size());
+    for (std::size_t b = 0; b < want.scores.size(); ++b) {
+      EXPECT_TRUE(same_bits(got.scores[b], want.scores[b]))
+          << "k_block=" << cfg.stream.k_block
+          << " n_block=" << cfg.stream.n_block << " b=" << b;
+    }
+    EXPECT_EQ(got.bandwidth, want.bandwidth);
+  }
 }
 
 // --- cache-blocked host kernel ---------------------------------------------

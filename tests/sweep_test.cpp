@@ -71,9 +71,9 @@ INSTANTIATE_TEST_SUITE_P(
     KernelsAndDgps, SweepEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(kSweepable),
                        ::testing::Values<std::size_t>(0, 1, 2, 3, 4)),
-    [](const auto& info) {
-      return std::string(kreg::to_string(std::get<0>(info.param))) + "_" +
-             kreg::data::all_dgps()[std::get<1>(info.param)].name;
+    [](const auto& suite_info) {
+      return std::string(kreg::to_string(std::get<0>(suite_info.param))) + "_" +
+             kreg::data::all_dgps()[std::get<1>(suite_info.param)].name;
     });
 
 // ---- Parallel sweep == sequential sweep -----------------------------------
@@ -233,9 +233,9 @@ INSTANTIATE_TEST_SUITE_P(
     KernelsAndDgps, WindowSweepEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(kSweepable),
                        ::testing::Values<std::size_t>(0, 1, 2, 3, 4)),
-    [](const auto& info) {
-      return std::string(kreg::to_string(std::get<0>(info.param))) + "_" +
-             kreg::data::all_dgps()[std::get<1>(info.param)].name;
+    [](const auto& suite_info) {
+      return std::string(kreg::to_string(std::get<0>(suite_info.param))) + "_" +
+             kreg::data::all_dgps()[std::get<1>(suite_info.param)].name;
     });
 
 TEST(WindowSweep, MatchesPerRowSortProfileClosely) {

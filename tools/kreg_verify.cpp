@@ -3,7 +3,8 @@
 //
 // Each scenario drives one production backend (regression window sweep in
 // its scalar and lane-batched forms, resident, k-block streamed and 2-D
-// tiled, on one device and sharded across two; the KDE LSCV sweep, the
+// tiled, on one device and sharded across two; the paper's per-row sort
+// with its tree reductions and device argmin; the KDE LSCV sweep, the
 // k-NN LOOCV sweep, the OSCV sweep) on a SymbolicDevice, which traces
 // every launch serially through the sanitizer's shadows and proves its
 // access families disjoint over two symbolic thread identities (see
@@ -93,6 +94,10 @@ std::vector<Scenario> scenarios() {
   batched_kblock.lane_width = 8;
   SpmdSelectorConfig batched_tiled = tiled;
   batched_tiled.lane_width = 8;
+  // Program 4's per-row sort: the only scenario that still launches the
+  // paper's tree reductions (reduce_sum_rows) and device argmin.
+  SpmdSelectorConfig per_row = scalar;
+  per_row.algorithm = kreg::SweepAlgorithm::kPerRowSort;
 
   // Two shards on one device: every slice launch is traced on the same
   // SymbolicDevice, so both slices' launches land in the ledger.
@@ -142,6 +147,7 @@ std::vector<Scenario> scenarios() {
       {"regress_2d_tiled", regress(tiled)},
       {"regress_batched_kblock_streamed", regress(batched_kblock)},
       {"regress_batched_2d_tiled", regress(batched_tiled)},
+      {"regress_per_row", regress(per_row)},
       {"multi_device_kblock", multi(batched_kblock)},
       {"multi_device_2d_tiled", multi(batched_tiled)},
       {"multi_device_scalar_2d_tiled", multi(tiled)},
