@@ -81,6 +81,9 @@ int main() {
   const kreg::data::Dataset sample = kreg::data::paper_dgp(2000, stream);
   const kreg::BandwidthGrid grid = kreg::BandwidthGrid::default_for(sample, 50);
   kreg::SpmdSelectorConfig cfg;  // float, 512 threads/block, like the paper
+  // The paper's per-row sort with its row reductions and device argmin (the
+  // default window sweep folds its scores in order and launches none).
+  cfg.algorithm = kreg::SweepAlgorithm::kPerRowSort;
   const auto result = kreg::SpmdGridSelector(device, cfg).select(sample, grid);
   std::printf("Program 4 on n=2000, k=50: h* = %.4f, CV = %.6f\n",
               result.bandwidth, result.cv_score);

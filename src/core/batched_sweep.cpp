@@ -111,8 +111,7 @@ std::vector<double> profile_batched(const data::Dataset& data,
   if (pool == nullptr) {
     pool = &parallel::ThreadPool::global();
   }
-  const std::size_t n_block =
-      std::min(tiling.n_block != 0 ? tiling.n_block : 2048, n);
+  const std::size_t n_block = tiling.tile_rows(n);
   const std::size_t k_block =
       std::min(tiling.k_block != 0 ? tiling.k_block : 64, k);
 

@@ -81,6 +81,7 @@ std::vector<double> oscv_profile_naive(const data::Dataset& data,
 /// Device execution of the one-sided sweep.
 struct OscvDeviceConfig {
   Precision precision = Precision::kDouble;
+  /// Clamped to the device's max_threads_per_block.
   std::size_t threads_per_block = 512;
   /// k-block streaming (1-D), same contract as KnnDeviceConfig::stream:
   /// the b-grid tiles through one resident n×k_block residual block with

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -65,8 +66,15 @@ std::vector<double> window_cv_profile(const data::Dataset& data,
 /// L2 slice, and k_block bounds the per-tile score accumulator touched in
 /// the innermost loop.
 struct HostTiling {
-  std::size_t n_block = 0;  ///< observations per tile (0 = auto, ~2048)
+  std::size_t n_block = 0;  ///< observations per tile (0 = auto, 2048)
   std::size_t k_block = 0;  ///< bandwidths per inner block (0 = auto, 64)
+
+  /// The observations per tile on `n` observations: n_block (auto 2048)
+  /// clamped to n. The tiled profile's bits depend on this alone — k_block
+  /// leaves every entry's additions in the same order.
+  std::size_t tile_rows(std::size_t n) const noexcept {
+    return std::min<std::size_t>(n_block != 0 ? n_block : 2048, n);
+  }
 };
 
 /// The cache-blocked host kernel mirroring the device's k-block streaming:

@@ -42,7 +42,7 @@ Reservation plan_reservation(SelectionJob job, std::size_t share,
   }
   const StreamingPlan plan =
       resolve_streaming(cfg, k, resident, base, per_k, capacity);
-  r.bytes = plan.streamed ? base + plan.k_block * per_k : resident;
+  r.bytes = job_streamed_bytes(r.exec, plan.k_block);
   r.exec.stream = cfg;
   return r;
 }

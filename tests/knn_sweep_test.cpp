@@ -430,4 +430,44 @@ TEST(KnnStreamedBytes, MonotoneInKBlock) {
   }
 }
 
+TEST(KnnDevicePlan, ThreadsPerBlockClampsToTheDevice) {
+  // The default device allows 512 threads per block; a larger request
+  // runs clamped, as SpmdGridSelector's does, with the same bits.
+  const Dataset data = fixture(300);
+  const std::vector<std::size_t> kgrid = {1, 3, 9, 27, 81};
+  kreg::spmd::Device dev;
+  KnnDeviceConfig cfg;
+  cfg.threads_per_block = 1024;
+  expect_bitwise_profile(kreg::knn_cv_profile_device(dev, data, kgrid, cfg),
+                         kreg::knn_cv_profile(data, kgrid, Precision::kDouble),
+                         "tpb=1024");
+}
+
+TEST(KnnDevicePlan, ResidentFootprintBudgetRunsOneKBlock) {
+  // The resident plan holds no carry: x, y, the n×k residual matrix and
+  // its k running totals. A budget of exactly that runs one k-block (one
+  // sweep and one fold launch); a byte less streams. Both are bitwise the
+  // host sweep.
+  const Dataset data = fixture(1000);
+  const std::vector<std::size_t> kgrid = {1,  2,  4,   8,   16,
+                                          32, 64, 128, 256, 512};
+  const std::size_t resident =
+      (2 * 1000 + 1000 * kgrid.size() + kgrid.size()) * sizeof(double);
+  const std::vector<double> host =
+      kreg::knn_cv_profile(data, kgrid, Precision::kDouble);
+  for (const std::size_t budget : {resident, resident - 1}) {
+    kreg::spmd::Device dev;
+    KnnDeviceConfig cfg;
+    cfg.stream.memory_budget_bytes = budget;
+    expect_bitwise_profile(kreg::knn_cv_profile_device(dev, data, kgrid, cfg),
+                           host, ("budget=" + std::to_string(budget)).c_str());
+    if (budget == resident) {
+      EXPECT_EQ(dev.stats().kernel_launches, 2u);
+      EXPECT_EQ(dev.global_peak(), resident);
+    } else {
+      EXPECT_GT(dev.stats().kernel_launches, 2u);
+    }
+  }
+}
+
 }  // namespace

@@ -344,4 +344,47 @@ TEST(OscvStreamedBytes, MonotoneInKBlock) {
   }
 }
 
+TEST(OscvDevicePlan, ThreadsPerBlockClampsToTheDevice) {
+  // As for k-NN: a request above the device's 512 threads per block runs
+  // clamped, with the same bits.
+  const Dataset data = fixture(300);
+  const BandwidthGrid grid = BandwidthGrid::default_for(data, 6);
+  kreg::spmd::Device dev;
+  OscvDeviceConfig cfg;
+  cfg.threads_per_block = 1024;
+  expect_bitwise_profile(
+      kreg::oscv_profile_device(dev, data, grid.values(),
+                                KernelType::kEpanechnikov, cfg),
+      kreg::oscv_profile(data, grid.values(), KernelType::kEpanechnikov,
+                         Precision::kDouble),
+      "tpb=1024");
+}
+
+TEST(OscvDevicePlan, ResidentFootprintBudgetRunsOneKBlock) {
+  // As for k-NN: the resident plan holds no carry, so a budget of exactly
+  // x, y, the n×k residual matrix and its k running totals runs one
+  // k-block, and a byte less streams. Both are bitwise the host sweep.
+  const Dataset data = fixture(1000);
+  const BandwidthGrid grid = BandwidthGrid::default_for(data, 10);
+  const std::size_t k = grid.size();
+  const std::size_t resident = (2 * 1000 + 1000 * k + k) * sizeof(double);
+  const std::vector<double> host = kreg::oscv_profile(
+      data, grid.values(), KernelType::kEpanechnikov, Precision::kDouble);
+  for (const std::size_t budget : {resident, resident - 1}) {
+    kreg::spmd::Device dev;
+    OscvDeviceConfig cfg;
+    cfg.stream.memory_budget_bytes = budget;
+    expect_bitwise_profile(
+        kreg::oscv_profile_device(dev, data, grid.values(),
+                                  KernelType::kEpanechnikov, cfg),
+        host, ("budget=" + std::to_string(budget)).c_str());
+    if (budget == resident) {
+      EXPECT_EQ(dev.stats().kernel_launches, 2u);
+      EXPECT_EQ(dev.global_peak(), resident);
+    } else {
+      EXPECT_GT(dev.stats().kernel_launches, 2u);
+    }
+  }
+}
+
 }  // namespace
