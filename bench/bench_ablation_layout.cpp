@@ -5,7 +5,8 @@
 // observation-major (n groups of k) which forces stride-k reads. Times both
 // layouts of Program 4's per-row sort at fixed (n, k) and confirms
 // identical selections. (The window sweep has no n×k reduction to lay out:
-// it folds bandwidth-major residual blocks in observation order.)
+// it writes observation-major residual blocks and folds each grid entry's
+// residuals in observation order.)
 #include <cstdio>
 
 #include "common/bench_util.hpp"

@@ -68,11 +68,12 @@ struct LaneBatch {
   alignas(64) Scalar s_m[kTerms][C] = {};  ///< Σ |d|^m per lane
   alignas(64) Scalar t_m[kTerms][C] = {};  ///< Σ Y·|d|^m per lane
 
-  /// Phase 3, shared by the generic lanes and the AVX-512 kernel: the
-  /// squared LOO residual of every lane at bandwidth h from the current
-  /// moment sums. h, 1/h and its running powers are shared by the whole
-  /// batch — one division per batch per bandwidth instead of one per
-  /// observation. Padding lanes (den = 0) get 0.
+  /// Phase 3 of the generic lanes (the AVX-512 kernel evaluates the same
+  /// expressions on its registers): the squared LOO residual of every lane
+  /// at bandwidth h from the current moment sums. h, 1/h and its running
+  /// powers are shared by the whole batch — one division per batch per
+  /// bandwidth instead of one per observation. Padding lanes (den = 0)
+  /// get 0.
   void recombine(Scalar h, const SweepPolynomial& poly,
                  std::array<Scalar, C>& sq) const {
     alignas(64) std::array<Scalar, C> num{};

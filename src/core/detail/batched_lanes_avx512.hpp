@@ -36,10 +36,16 @@
 //     -ffp-contract=off (root CMakeLists.txt); under -ffp-contract=fast,
 //     GCC contracts or not per call site, so no intrinsic choice could
 //     match every inlined copy of the scalar sweep at once;
-//   - the batch's moment sums live in registers for a whole admission
-//     run, one register per term, instead of round-tripping through
+//   - the batch's moment sums live in registers for the whole resume
+//     call, one register per term, instead of round-tripping through
 //     memory every step;
-//   - phase 3 is the generic path's own `LaneBatch::recombine`.
+//   - phase 3 recombines straight from those registers: the term loop
+//     runs to the compile-time term count, the coefficients are converted
+//     once per call, and each lane evaluates the scalar sweep's
+//     expressions with the same association (num and den start at +0.0,
+//     `(c·T_m)·h^−m` and `(c·S_m)·h^−m` added in ascending m, the self
+//     term excluded from m = 0, `den > 0 ? (y − num/den)² : 0`), so it
+//     matches the generic path's `LaneBatch::recombine` bit for bit.
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define KREG_HAVE_BATCHED_AVX512 1
@@ -115,11 +121,23 @@ struct Avx512Lanes<double> {
   KREG_AVX512_TARGET static void store(double* p, Vec v) {
     _mm512_storeu_pd(p, v);
   }
+  KREG_AVX512_TARGET static Vec set1(double v) { return _mm512_set1_pd(v); }
   KREG_AVX512_TARGET static Vec add(Vec a, Vec b) {
     return _mm512_add_pd(a, b);
   }
+  KREG_AVX512_TARGET static Vec sub(Vec a, Vec b) {
+    return _mm512_sub_pd(a, b);
+  }
   KREG_AVX512_TARGET static Vec mul(Vec a, Vec b) {
     return _mm512_mul_pd(a, b);
+  }
+  /// den > 0 ? (y − num/den)² : +0.0 per lane, dividing only where den > 0.
+  KREG_AVX512_TARGET static Vec squared_residual(Vec y, Vec num, Vec den) {
+    const __mmask8 pos =
+        _mm512_cmp_pd_mask(den, _mm512_setzero_pd(), _CMP_GT_OQ);
+    const Vec e = _mm512_sub_pd(
+        y, _mm512_div_pd(num, _mm512_mask_blend_pd(pos, set1(1.0), den)));
+    return _mm512_maskz_mul_pd(pos, e, e);
   }
   KREG_AVX512_TARGET static Vec abs_diff(Vec a, Vec b) {
     return _mm512_abs_pd(_mm512_sub_pd(a, b));
@@ -176,11 +194,22 @@ struct Avx512Lanes<float> {
   KREG_AVX512_TARGET static void store(float* p, Vec v) {
     _mm256_storeu_ps(p, v);
   }
+  KREG_AVX512_TARGET static Vec set1(float v) { return _mm256_set1_ps(v); }
   KREG_AVX512_TARGET static Vec add(Vec a, Vec b) {
     return _mm256_add_ps(a, b);
   }
+  KREG_AVX512_TARGET static Vec sub(Vec a, Vec b) {
+    return _mm256_sub_ps(a, b);
+  }
   KREG_AVX512_TARGET static Vec mul(Vec a, Vec b) {
     return _mm256_mul_ps(a, b);
+  }
+  KREG_AVX512_TARGET static Vec squared_residual(Vec y, Vec num, Vec den) {
+    const __mmask8 pos =
+        _mm256_cmp_ps_mask(den, _mm256_setzero_ps(), _CMP_GT_OQ);
+    const Vec e = _mm256_sub_ps(
+        y, _mm256_div_ps(num, _mm256_mask_blend_ps(pos, set1(1.0f), den)));
+    return _mm256_maskz_mul_ps(pos, e, e);
   }
   KREG_AVX512_TARGET static Vec abs_diff(Vec a, Vec b) {
     return _mm256_and_ps(_mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)),
@@ -311,6 +340,19 @@ KREG_AVX512_TARGET void batch_resume_avx512_impl(
   alignas(64) std::array<Scalar, C> sq{};
   std::array<std::size_t, C> lo_new{}, hi_new{};
 
+  // The moment sums stay in registers for the whole call.
+  const Vec xi = Ops::load(st.xi.data());
+  const Vec yi = Ops::load(st.yi.data());
+  Vec sm[T], tm[T];
+  for (std::size_t m = 0; m < T; ++m) {
+    sm[m] = Ops::load(st.s_m[m]);
+    tm[m] = Ops::load(st.t_m[m]);
+  }
+  Scalar coeff[T];
+  for (std::size_t m = 0; m < T; ++m) {
+    coeff[m] = static_cast<Scalar>(poly.coeff[m]);
+  }
+
   for (std::size_t b = 0; b < k; ++b) {
     const Scalar h = hs[b];
 
@@ -371,13 +413,6 @@ KREG_AVX512_TARGET void batch_resume_avx512_impl(
           _mm512_maskz_cvtepi64_epi32(0xff, _mm512_load_si512(cnt));
       const __m512i vbase = _mm512_load_si512(base);
       __m256i vs = _mm256_setzero_si256();
-      // The moment sums stay in registers for the whole run.
-      const Vec xi = Ops::load(st.xi.data());
-      Vec sm[T], tm[T];
-      for (std::size_t m = 0; m < T; ++m) {
-        sm[m] = Ops::load(st.s_m[m]);
-        tm[m] = Ops::load(st.t_m[m]);
-      }
       // Contiguous steps first, then the gathers; step s reads element
       // base ∓ s of each active lane.
       const std::int64_t dir = left ? -1 : 1;
@@ -399,21 +434,37 @@ KREG_AVX512_TARGET void batch_resume_avx512_impl(
         admit_group<Scalar, T>(sm, tm, xi, Ops::gather(act, idx, xs),
                                Ops::gather(act, idx, ys), act);
       }
-      for (std::size_t m = 0; m < T; ++m) {
-        Ops::store(st.s_m[m], sm[m]);
-        Ops::store(st.t_m[m], tm[m]);
-      }
     }
     for (std::size_t l = 0; l < st.lanes; ++l) {
       st.lo[l] = lo_new[l];
       st.hi[l] = hi_new[l];
     }
 
-    // Phase 3: the shared recombination.
-    st.recombine(h, poly, sq);
+    // Phase 3: the recombination on the moment-sum registers, the scalar
+    // sweep's expressions in every lane (see the header comment).
+    const Scalar inv_h = Scalar{1} / h;
+    Scalar inv_pow = Scalar{1};
+    Vec num = Ops::set1(Scalar{0});
+    Vec den = Ops::set1(Scalar{0});
+    for (std::size_t m = 0; m < T; ++m) {
+      if (coeff[m] != Scalar{0}) {
+        const Vec c = Ops::set1(coeff[m]);
+        const Vec p = Ops::set1(inv_pow);
+        const Vec t = m == 0 ? Ops::sub(tm[0], yi) : tm[m];
+        const Vec s = m == 0 ? Ops::sub(sm[0], Ops::set1(Scalar{1})) : sm[m];
+        num = Ops::add(num, Ops::mul(Ops::mul(c, t), p));
+        den = Ops::add(den, Ops::mul(Ops::mul(c, s), p));
+      }
+      inv_pow *= inv_h;
+    }
+    Ops::store(sq.data(), Ops::squared_residual(yi, num, den));
     for (std::size_t l = 0; l < st.lanes; ++l) {
       write(b, l, sq[l]);
     }
+  }
+  for (std::size_t m = 0; m < T; ++m) {
+    Ops::store(st.s_m[m], sm[m]);
+    Ops::store(st.t_m[m], tm[m]);
   }
 }
 

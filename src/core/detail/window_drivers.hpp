@@ -263,6 +263,10 @@ struct WindowNames {
   const char* tag;    ///< buffer label prefix ("knn")
 };
 
+/// Grid entries per thread of the ordered score fold: one cache line of
+/// double totals.
+inline constexpr std::size_t kFoldEntries = 8;
+
 /// The folded value of a squared-residual policy (NW, k-NN, OSCV): the
 /// residual itself.
 struct SquaredResidual {
@@ -283,9 +287,12 @@ struct SquaredResidual {
 /// block's halo slab (halo_begin/halo_end at `reach`, the grid's widest
 /// admission) — and sweeps them k-block by k-block: one grid slice in
 /// constant memory per pass, the rows' state carried between passes (only
-/// when there is more than one k-block). After each pass the ordered fold
-/// continues every entry's running total over the block's rows, one entry
-/// per block: the k-block's totals go up, the fold adds the rows in
+/// when there is more than one k-block). The pass writes its values
+/// observation-major, row r's kb values side by side, so a lane batch's
+/// lanes each fill their own cache lines step after step. After each pass
+/// the ordered fold continues every entry's running total over the block's
+/// rows: the k-block's totals go up, each fold thread takes 8 consecutive
+/// entries (one cache line of double totals) and adds the rows to them in
 /// ascending order, and the totals come back. `partial(hs, b, values...)`
 /// makes the folded value of a pass's values at slice entry b.
 template <class Pass, class G, class Partial = SquaredResidual>
@@ -336,8 +343,8 @@ void device_window_totals(spmd::Device& device, const Pass& pass,
       // reaches a slab edge the whole arrays would cross.
       pass.launch(device, names.sweep, on, n0 - s0, rows, hs,
                   carry ? &*carry : nullptr, b0 == 0,
-                  [&, rows](std::size_t b, std::size_t r, auto... values) {
-                    resid[b * rows + r] = partial(hs, b, values...);
+                  [&, kb](std::size_t b, std::size_t r, auto... values) {
+                    resid[r * kb + b] = partial(hs, b, values...);
                   });
 
       const std::span<double> block_totals = totals.subspan(b0, kb);
@@ -345,19 +352,29 @@ void device_window_totals(spmd::Device& device, const Pass& pass,
           device.alloc_global<double>(kb, tag + "-score-block");
       device.copy_to_device(d_scores, std::span<const double>(block_totals));
       spmd::MemView<double> scores = d_scores.view();
+      const std::size_t groups = (kb + kFoldEntries - 1) / kFoldEntries;
       device.launch(names.fold,
                     spmd::LaunchConfig::cover(
-                        kb, (kb + max_blocks - 1) / max_blocks),
-                    [&, kb, rows](const spmd::ThreadCtx& t) {
-        const std::size_t b = t.global_idx();
-        if (b >= kb) {
+                        groups, (groups + max_blocks - 1) / max_blocks),
+                    [&, kb, rows, groups](const spmd::ThreadCtx& t) {
+        const std::size_t g = t.global_idx();
+        if (g >= groups) {
           return;
         }
-        double total = scores[b];
-        for (std::size_t r = 0; r < rows; ++r) {
-          total += static_cast<double>(resid[b * rows + r]);
+        const std::size_t b1 = g * kFoldEntries;
+        const std::size_t width = std::min(kFoldEntries, kb - b1);
+        double total[kFoldEntries] = {};
+        for (std::size_t j = 0; j < width; ++j) {
+          total[j] = scores[b1 + j];
         }
-        scores[b] = total;
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t j = 0; j < width; ++j) {
+            total[j] += static_cast<double>(resid[r * kb + b1 + j]);
+          }
+        }
+        for (std::size_t j = 0; j < width; ++j) {
+          scores[b1 + j] = total[j];
+        }
       });
       device.copy_to_host(block_totals, d_scores);
     }

@@ -102,10 +102,11 @@ struct KnnDeviceConfig {
 };
 
 /// The sweep on the SPMD device: one thread per observation fills the
-/// residual block (bandwidth-major), then one thread per k folds its n
-/// residuals **in ascending observation order** — the same order as the
-/// sequential host fold, so the device profile is bitwise equal to
-/// knn_cv_profile (tree reductions would only be tolerance-equal).
+/// residual block (observation-major), then each fold thread takes 8
+/// consecutive grid entries and adds their n residuals **in ascending
+/// observation order** — the same order as the sequential host fold, so
+/// the device profile is bitwise equal to knn_cv_profile (tree reductions
+/// would only be tolerance-equal).
 std::vector<double> knn_cv_profile_device(spmd::Device& device,
                                           const data::Dataset& data,
                                           std::span<const std::size_t> kgrid,

@@ -91,8 +91,9 @@ struct OscvDeviceConfig {
 };
 
 /// The sweep on the SPMD device: one thread per observation fills the
-/// residual block, then one thread per bandwidth folds its n residuals in
-/// ascending observation order — bitwise equal to oscv_profile.
+/// residual block (observation-major), then each fold thread takes 8
+/// consecutive bandwidths and adds their n residuals in ascending
+/// observation order — bitwise equal to oscv_profile.
 std::vector<double> oscv_profile_device(spmd::Device& device,
                                         const data::Dataset& data,
                                         std::span<const double> grid,

@@ -35,7 +35,7 @@ struct SpmdSelectorConfig {
   /// to 512, the maximum possible on the GPU being used".
   std::size_t threads_per_block = 512;
   /// Layout of the per-row path's n×k residual matrix. kPerRowSort only —
-  /// the window sweep's residual blocks are always bandwidth-major.
+  /// the window sweep's residual blocks are always observation-major.
   ResidualLayout layout = ResidualLayout::kBandwidthMajor;
   /// Harris schedule of the per-row path's score reductions (bandwidth-major
   /// rows; observation-major rows reduce sequentially). kPerRowSort only —

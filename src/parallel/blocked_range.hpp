@@ -38,19 +38,4 @@ inline std::vector<BlockedRange> partition_evenly(std::size_t n,
   return out;
 }
 
-/// Splits [0, n) into ranges of at most `chunk` elements (the unit of the
-/// dynamic scheduler).
-inline std::vector<BlockedRange> partition_chunks(std::size_t n,
-                                                  std::size_t chunk) {
-  std::vector<BlockedRange> out;
-  if (n == 0 || chunk == 0) {
-    return out;
-  }
-  out.reserve((n + chunk - 1) / chunk);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    out.push_back({begin, begin + std::min(chunk, n - begin)});
-  }
-  return out;
-}
-
 }  // namespace kreg::parallel

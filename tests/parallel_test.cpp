@@ -17,7 +17,6 @@ namespace {
 using kreg::parallel::BlockedRange;
 using kreg::parallel::parallel_for;
 using kreg::parallel::parallel_reduce;
-using kreg::parallel::partition_chunks;
 using kreg::parallel::partition_evenly;
 using kreg::parallel::Schedule;
 using kreg::parallel::ThreadPool;
@@ -57,13 +56,6 @@ TEST(BlockedRangePartition, MorePartsThanElements) {
   for (const BlockedRange& r : ranges) {
     EXPECT_EQ(r.size(), 1u);
   }
-}
-
-TEST(BlockedRangePartition, ChunksRespectChunkSize) {
-  const auto ranges = partition_chunks(100, 33);
-  ASSERT_EQ(ranges.size(), 4u);
-  EXPECT_EQ(ranges[0].size(), 33u);
-  EXPECT_EQ(ranges[3].size(), 1u);
 }
 
 TEST(ThreadPool, ExecutesSubmittedTasks) {
@@ -120,6 +112,21 @@ TEST(ParallelFor, SingleWorkerFallsBackToSerial) {
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);  // serial path preserves order
+}
+
+TEST(ParallelFor, DynamicZeroChunkThrowsOnEveryPoolSize) {
+  // A zero chunk has no ranges to hand out; it must fail loudly on every
+  // pool, not run every iteration serially on one pool and none on another.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    std::atomic<int> runs{0};
+    EXPECT_THROW(parallel_for(
+                     100, [&](std::size_t) { runs.fetch_add(1); }, &pool,
+                     Schedule::kDynamic, 0),
+                 std::invalid_argument)
+        << workers << " workers";
+    EXPECT_EQ(runs.load(), 0) << workers << " workers";
+  }
 }
 
 TEST(ParallelFor, PropagatesException) {

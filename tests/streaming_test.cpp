@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detail/device_sweep.hpp"
@@ -26,6 +27,7 @@
 #include "data/dgp.hpp"
 #include "rng/stream.hpp"
 #include "spmd/device.hpp"
+#include "spmd/errors.hpp"
 
 namespace {
 
@@ -1097,29 +1099,44 @@ TEST(DeviceScoreOrder, EveryNwPlanShardAndLaneWidthIsTheHostSweepBitwise) {
   // The device window driver folds each bandwidth's residuals in ascending
   // observation order, carrying the running total across k-blocks,
   // n-blocks and device slices — the sequential host sweep's order — so
-  // every device profile is window_cv_profile bit for bit.
-  const BandwidthGrid grid(0.02, 0.9, 17);
+  // every device profile is window_cv_profile bit for bit. k = 2,000 at
+  // n = 1,000 is Table II's widest grid: two 512-thread blocks, which the
+  // device splits across workers (n = 1,001 adds a one-lane batch). In
+  // double that grid exceeds the constant cache unless it streams.
   const StreamingConfig resident{0, 0, 0, false};
   const StreamingConfig k_blocks{3, 0, 0, true};
   const StreamingConfig tiles{5, 37, 0, true};
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{257}, std::size_t{3000}}) {
+  const std::size_t constant_bytes =
+      DeviceProperties::tesla_s10().constant_cache_bytes;
+  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{1, 17},
+                            {257, 17},
+                            {3000, 17},
+                            {1000, 2000},
+                            {1001, 2000}}) {
     const Dataset d = paper_data(n, 41 + n);
+    const BandwidthGrid grid(0.02, 0.9, k);
     for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
       const std::vector<double> host = kreg::window_cv_profile(
           d, grid.values(), KernelType::kEpanechnikov, precision);
+      const std::size_t grid_bytes =
+          k * (precision == Precision::kFloat ? sizeof(float) : sizeof(double));
       for (const std::size_t width : {std::size_t{1}, kreg::kLaneWidth}) {
         for (const StreamingConfig& stream : {resident, k_blocks, tiles}) {
           SpmdSelectorConfig cfg;
           cfg.precision = precision;
           cfg.lane_width = width;
           cfg.stream = stream;
-          SCOPED_TRACE("n=" + std::to_string(n) + " " +
-                       std::string(kreg::to_string(precision)) +
+          SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                       " " + std::string(kreg::to_string(precision)) +
                        " lanes=" + std::to_string(width) +
                        " k_block=" + std::to_string(stream.k_block) +
                        " n_block=" + std::to_string(stream.n_block));
           Device dev;
+          if (stream.k_block == 0 && grid_bytes > constant_bytes) {
+            EXPECT_THROW(SpmdGridSelector(dev, cfg).select(d, grid),
+                         kreg::spmd::ConstantCapacityError);
+            continue;
+          }
           expect_host_bits(SpmdGridSelector(dev, cfg).select(d, grid), host,
                            grid);
           for (const std::size_t shards : {1u, 2u, 3u}) {
