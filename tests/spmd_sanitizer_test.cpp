@@ -5,6 +5,7 @@
 // false positives on the real device algorithms.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
@@ -458,9 +459,10 @@ TEST(DeviceErrorPaths, CoverZeroStillLaunchesOneBlock) {
   EXPECT_EQ(cfg.grid_blocks, 1u);
   EXPECT_EQ(cfg.threads_per_block, 128u);
   Device dev;
-  std::size_t executed = 0;  // one block → one worker, no data race
-  dev.launch(cfg, [&](const kreg::spmd::ThreadCtx&) { ++executed; });
-  EXPECT_EQ(executed, 128u);
+  // Ranges of one block may run on several workers at once.
+  std::atomic<std::size_t> executed{0};
+  dev.launch(cfg, [&](const kreg::spmd::ThreadCtx&) { executed.fetch_add(1); });
+  EXPECT_EQ(executed.load(), 128u);
   EXPECT_EQ(dev.stats().blocks_executed, 1u);
 }
 
