@@ -1,16 +1,16 @@
 // Roofline-style bench for the batched window sweep: elements/s of the
-// scalar tiled host sweep against the 8-lane batched kernels, for three
-// kernels on two designs of X — the paper DGP (uniform X) and a clustered
-// design from the bench-local generator below — with an estimated
-// memory-bandwidth figure per cell so the vector speedup can be read
-// against the streaming roofline. One "element" is one unit of sweep work:
-// an admitted observation (one pass of the moment-sum m-loop) or one
-// per-(observation, bandwidth) recombination — both counted exactly from
-// the admission-window lengths, not sampled. Batched cells also report the
-// contiguous-run rate (the fraction of phase-2 steps served by the
-// block-load/transpose fast path instead of a gather). Cells land in
-// BENCH_vector.json in the working directory, together with the machine:
-// hardware threads, compiler, and whether the AVX-512 lane kernel ran.
+// scalar sequential host sweep (window_cv_profile) against the 8-lane
+// batched kernels (window_cv_profile_tiled on a one-worker pool, so the
+// ratio is a one-core SIMD ratio), for three kernels on two designs of X —
+// the paper DGP (uniform X) and a clustered design from the bench-local
+// generator below — with an estimated memory-bandwidth figure per cell so
+// the vector speedup can be read against the streaming roofline. One
+// "element" is one unit of sweep work: an admitted observation (one pass
+// of the moment-sum m-loop) or one per-(observation, bandwidth)
+// recombination — both counted exactly from the admission-window lengths,
+// not sampled. Cells land in BENCH_vector.json in the working directory,
+// together with the machine: hardware threads, compiler, and whether the
+// AVX-512 lane kernel ran.
 //
 //   KREG_BENCH_FULL=1     adds the n = 10⁶ rows (default stops at 10⁵)
 //   KREG_BENCH_REPS=N     timing repetitions per cell (median)
@@ -23,6 +23,7 @@
 #include "common/bench_util.hpp"
 #include "core/detail/batched_lanes.hpp"
 #include "core/kreg.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -32,7 +33,6 @@ struct Cell {
   const char* design;
   const char* kernel;
   std::size_t lane_width;  // 0 = the scalar reference sweep
-  double contig_rate;      // fraction of phase-2 steps on the transpose path
   double seconds;
   double elements_per_s;
   double est_gbps;
@@ -92,11 +92,11 @@ void write_json(const std::vector<Cell>& cells, const char* path) {
     std::fprintf(f,
                  "    {\"n\": %zu, \"k\": %zu, \"design\": \"%s\", "
                  "\"kernel\": \"%s\", \"lane_width\": %zu, "
-                 "\"contig_rate\": %.4f, \"seconds\": %.6e, "
+                 "\"seconds\": %.6e, "
                  "\"elements_per_s\": %.6e, \"est_gbps\": %.3f, "
                  "\"speedup_vs_scalar\": %.3f}%s\n",
-                 c.n, c.k, c.design, c.kernel, c.lane_width, c.contig_rate,
-                 c.seconds, c.elements_per_s, c.est_gbps, c.speedup,
+                 c.n, c.k, c.design, c.kernel, c.lane_width, c.seconds,
+                 c.elements_per_s, c.est_gbps, c.speedup,
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -111,6 +111,7 @@ int main() {
   const std::size_t reps = kreg::bench::repetitions();
   const std::size_t k = 50;
   kreg::rng::Stream stream(2024);
+  kreg::parallel::ThreadPool one_core(1);
   std::vector<Cell> cells;
 
   std::vector<std::size_t> sizes = {100000};
@@ -166,41 +167,34 @@ int main() {
             std::to_string(k) + ", " + design + " X, " + kernel.name + ", " +
             std::to_string(static_cast<std::size_t>(admissions)) +
             " admissions");
-        Table table(
-            {"config", "time (s)", "Melem/s", "est GB/s", "contig", "speedup"},
-            12);
+        Table table({"config", "time (s)", "Melem/s", "est GB/s", "speedup"},
+                    12);
 
         const double t_scalar = kreg::bench::time_median(
             [&] {
-              (void)kreg::window_cv_profile_tiled(data, grid.values(),
-                                                  kernel.type);
+              (void)kreg::window_cv_profile(data, grid.values(), kernel.type);
             },
             reps);
         table.add_row({"scalar", Table::fmt_seconds(t_scalar),
                        Table::fmt_double(elements / t_scalar / 1e6, 1),
-                       Table::fmt_double(bytes / t_scalar / 1e9, 2), "-",
-                       "1.0x"});
-        cells.push_back({n, k, design, kernel.name, 0, 0.0, t_scalar,
+                       Table::fmt_double(bytes / t_scalar / 1e9, 2), "1.0x"});
+        cells.push_back({n, k, design, kernel.name, 0, t_scalar,
                          elements / t_scalar, bytes / t_scalar / 1e9, 1.0});
 
-        kreg::BatchRunStats stats;
         const double t = kreg::bench::time_median(
             [&] {
-              stats = {};
-              (void)kreg::window_cv_profile_batched(
+              (void)kreg::window_cv_profile_tiled(
                   data, grid.values(), kernel.type, kreg::Precision::kDouble,
-                  {}, nullptr, &stats);
+                  &one_core);
             },
             reps);
         table.add_row(
             {"C=" + std::to_string(kreg::kLaneWidth), Table::fmt_seconds(t),
              Table::fmt_double(elements / t / 1e6, 1),
              Table::fmt_double(bytes / t / 1e9, 2),
-             Table::fmt_double(100.0 * stats.contig_rate(), 1) + "%",
              Table::fmt_double(t_scalar / t, 2) + "x"});
-        cells.push_back({n, k, design, kernel.name, kreg::kLaneWidth,
-                         stats.contig_rate(), t, elements / t,
-                         bytes / t / 1e9, t_scalar / t});
+        cells.push_back({n, k, design, kernel.name, kreg::kLaneWidth, t,
+                         elements / t, bytes / t / 1e9, t_scalar / t});
         table.print();
       }
     }
@@ -210,10 +204,9 @@ int main() {
       "\nmachine: %u hardware threads, %s, AVX-512 lane kernel %s\n"
       "elements/s counts admissions + recombinations exactly; est GB/s is "
       "the compulsory streaming traffic (x/y reads + residual writes) over "
-      "the same wall time. The batched kernels' margin over scalar at equal "
-      "traffic is vector (SIMD) throughput, not bandwidth; the contig "
-      "column is the share of lane-resume steps served by the "
-      "contiguous-run transpose fast path instead of gathers.\n",
+      "the same wall time. Both configs run on one core; the batched "
+      "kernels' margin over scalar at equal traffic is vector (SIMD) "
+      "throughput, not bandwidth.\n",
       std::thread::hardware_concurrency(), compiler(),
       avx512_lane_kernel() ? "ran" : "did not run");
   write_json(cells, "BENCH_vector.json");

@@ -17,10 +17,9 @@
 //   --method  sorted|window|tiled|parallel|naive|dense|spmd|spmd-per-row|
 //             optimizer|silverman|scott (default sorted; spmd runs the
 //             window sweep, spmd-per-row the paper-faithful per-thread
-//             sort, tiled the cache-blocked host mirror of the streamed
-//             device sweep — the multicore window sweep, same bits on any
-//             core count — and parallel the per-row sort on the pool,
-//             nw only)
+//             sort, tiled the multicore window sweep — the window
+//             method's bits on any core count — and parallel the per-row
+//             sort on the pool, nw only)
 //   --kernel  epanechnikov|uniform|triangular|biweight|triweight|cosine|
 //             gaussian (default epanechnikov)
 //   --k       grid size (default 200)
@@ -30,7 +29,7 @@
 //   --curve N print the fitted regression curve at N points
 //   --k-block N       stream the spmd window sweep in k-blocks of N
 //   --n-block N       tile the observations too: stream in n-blocks of N
-//                     (spmd window methods and the tiled host mirror)
+//                     (spmd window methods)
 //   --memory-budget S device-memory budget for auto (n, k)-blocking, e.g.
 //                     128MiB (sizes accept b/KB/KiB/MB/MiB/...)
 #include <algorithm>
@@ -55,46 +54,11 @@ namespace {
                "  [--kernel epanechnikov|uniform|triangular|biweight|"
                "triweight|cosine|gaussian]\n"
                "  [--k K] [--hmin H] [--hmax H] [--refine] [--curve N]\n"
-               "  [--k-block N] [--n-block N] [--memory-budget SIZE]\n",
+               "  [--k-block N] [--n-block N] [--memory-budget SIZE]"
+               " (spmd methods)\n",
                argv0);
   std::exit(2);
 }
-
-/// The cache-blocked host mirror of the streamed device sweep, exposed as a
-/// selector so --n-block / --k-block / --memory-budget drive the same tiling
-/// machinery on the CPU (see host_tiling_from_stream). Runs the batched
-/// (lane-vectorized) kernels — bitwise identical to the scalar tiled sweep,
-/// so batching is pure speed.
-class TiledWindowSelector final : public kreg::Selector {
- public:
-  TiledWindowSelector(kreg::KernelType kernel, kreg::HostTiling tiling)
-      : kernel_(kernel), tiling_(tiling) {}
-
-  kreg::SelectionResult select(const kreg::data::Dataset& data,
-                               const kreg::BandwidthGrid& grid) const override {
-    return kreg::selection_from_profile(
-        grid,
-        kreg::window_cv_profile_batched(data, grid.values(), kernel_,
-                                        kreg::Precision::kDouble, tiling_),
-        name());
-  }
-
-  std::string name() const override {
-    std::string n = "tiled-window(" + std::string(kreg::to_string(kernel_));
-    if (tiling_.n_block != 0) {
-      n += ",nblock=" + std::to_string(tiling_.n_block);
-    }
-    if (tiling_.k_block != 0) {
-      n += ",kblock=" + std::to_string(tiling_.k_block);
-    }
-    n += ")";
-    return n;
-  }
-
- private:
-  kreg::KernelType kernel_;
-  kreg::HostTiling tiling_;
-};
 
 kreg::KernelType parse_kernel(const std::string& name) {
   for (kreg::KernelType k : kreg::kAllKernels) {
@@ -209,9 +173,7 @@ int main(int argc, char** argv) {
         scores = kreg::knn_cv_profile(data, kgrid);
         method_name = "knn-window-sweep";
       } else if (method == "tiled") {
-        scores = kreg::knn_cv_profile_tiled(
-            data, kgrid, kreg::Precision::kDouble,
-            kreg::host_tiling_from_stream(stream));
+        scores = kreg::knn_cv_profile_tiled(data, kgrid);
         method_name = "knn-window-sweep-tiled";
       } else if (method == "spmd") {
         device = std::make_unique<kreg::spmd::Device>();
@@ -276,9 +238,7 @@ int main(int argc, char** argv) {
         scores = kreg::oscv_profile(data, grid.values(), kernel);
         method_name = "oscv-sweep";
       } else if (method == "tiled") {
-        scores = kreg::oscv_profile_tiled(
-            data, grid.values(), kernel, kreg::Precision::kDouble,
-            kreg::host_tiling_from_stream(stream));
+        scores = kreg::oscv_profile_tiled(data, grid.values(), kernel);
         method_name = "oscv-sweep-tiled";
       } else if (method == "spmd") {
         device = std::make_unique<kreg::spmd::Device>();
@@ -321,8 +281,8 @@ int main(int argc, char** argv) {
     } else if (method == "window") {
       selector = std::make_unique<kreg::WindowSweepSelector>(kernel);
     } else if (method == "tiled") {
-      selector = std::make_unique<TiledWindowSelector>(
-          kernel, kreg::host_tiling_from_stream(stream));
+      selector = std::make_unique<kreg::WindowSweepSelector>(
+          kernel, kreg::Precision::kDouble, /*parallel=*/true);
     } else if (method == "spmd-per-row" || method == "spmd-window") {
       // spmd-window is kept as an explicit alias now that plain spmd
       // defaults to the window sweep.

@@ -2,9 +2,9 @@
 """Perf smoke over BENCH_vector.json: the 8-lane batch must beat scalar.
 
 Fails (exit 1) if, at n = 10^5, the C = 8 Epanechnikov cell's elements/s
-falls below the scalar tiled sweep's on any design of X in the file — the
-regression this guards is the lane-batched gather kernel losing its vector
-margin (e.g. the contiguous-run fast path silently breaking).
+falls below the scalar sequential sweep's on any design of X in the file —
+the regression this guards is the lane-batched gather kernel losing its
+vector margin (e.g. the contiguous-run fast path silently breaking).
 
 Usage: check_bench_vector.py [BENCH_vector.json]
 """
@@ -37,10 +37,9 @@ def main() -> int:
         batched = lanes[8]
         ratio = batched["elements_per_s"] / scalar_eps
         print(f"{design} X, {kernel} n={n}: scalar {scalar_eps:.3e} elem/s, "
-              f"C=8 {batched['elements_per_s']:.3e} elem/s ({ratio:.2f}x, "
-              f"contig_rate={batched['contig_rate']:.2f})")
+              f"C=8 {batched['elements_per_s']:.3e} elem/s ({ratio:.2f}x)")
         if ratio < 1.0:
-            print(f"FAIL: C=8 {kernel} is slower than the scalar tiled "
+            print(f"FAIL: C=8 {kernel} is slower than the scalar "
                   f"sweep on {design} X")
             failed = True
     if failed:

@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
 # Guard: the AVX-512 lane kernel stays inlined.
 #
-# The device window pass hands every residual to a caller-supplied write
-# lambda that GCC inlines into `batch_resume_avx512_impl`, the AVX-512 lane
-# kernel (core/detail/batched_lanes_avx512.hpp). That inlining decision is
-# what keeps the kernel's loops free of calls, and an unrelated change to a
-# caller can flip it: moving NW's pass onto another carry layout once made
-# GCC emit 60 calls instead of 5 in the resident float kernel and cut the
-# paper-wide-k benchmark from 47 to 27 selections/s (DESIGN.md §12). This
+# The device window pass (spmd_selector.cpp) and the host tiled profile's
+# lane pass (window_sweep.cpp) hand every residual to a caller-supplied
+# write lambda that GCC inlines into `batch_resume_avx512_impl`, the
+# AVX-512 lane kernel (core/detail/batched_lanes_avx512.hpp). That
+# inlining decision is what keeps the kernel's loops free of calls, and an
+# unrelated change to a caller can flip it: moving NW's pass onto another
+# carry layout once made GCC emit 60 calls instead of 5 in the resident
+# float kernel and cut the paper-wide-k benchmark from 47 to 27
+# selections/s (DESIGN.md §12). This
 # script disassembles kreg_core's objects and fails when any instantiation
 # of the kernel holds more than 12 call instructions.
 #

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
-#include "core/detail/batched_lanes.hpp"
-#include "core/validate_grid.hpp"
-#include "core/window_sweep.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sort/two_key.hpp"
 
 namespace kreg {
@@ -87,129 +82,6 @@ std::vector<std::uint32_t> sigma_batch_order(
         [&](std::uint32_t r) { return lengths[begin + r]; }, scratch);
   }
   return order;
-}
-
-namespace {
-
-/// The batched mirror of detail::tiled_profile (window_drivers.hpp) over
-/// NwWindow: same tiling defaults and clamps, same tile-order combination,
-/// same per-tile ascending-row fold into the accumulator — only the
-/// per-row sweep is replaced by lane batches of kLaneWidth consecutive
-/// rows staging their residuals in a tile-local buffer. Because the fold
-/// visits buffered residuals in exactly the (row, b) order the scalar tiled
-/// kernel adds them, the profile is bitwise identical to the scalar one.
-template <class Scalar>
-std::vector<double> profile_batched(const data::Dataset& data,
-                                    std::span<const double> grid,
-                                    KernelType kernel, HostTiling tiling,
-                                    parallel::ThreadPool* pool,
-                                    BatchRunStats* stats) {
-  constexpr std::size_t C = kLaneWidth;
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(kernel);
-  if (pool == nullptr) {
-    pool = &parallel::ThreadPool::global();
-  }
-  const std::size_t n_block = tiling.tile_rows(n);
-  const std::size_t k_block =
-      std::min(tiling.k_block != 0 ? tiling.k_block : 64, k);
-
-  const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-  const std::vector<Scalar> host_grid(grid.begin(), grid.end());
-  const std::span<const Scalar> xs(sorted.x);
-  const std::span<const Scalar> ys(sorted.y);
-
-  const std::size_t tiles = (n + n_block - 1) / n_block;
-  std::vector<std::vector<double>> partials(tiles,
-                                            std::vector<double>(k, 0.0));
-  std::vector<BatchRunStats> tile_stats(stats != nullptr ? tiles : 0);
-
-  parallel::parallel_for(
-      tiles,
-      [&](std::size_t tile) {
-        const std::size_t begin = tile * n_block;
-        const std::size_t nb = std::min(n_block, n - begin);
-        std::vector<double>& acc = partials[tile];
-        BatchRunStats* tstats =
-            stats != nullptr ? &tile_stats[tile] : nullptr;
-
-        // Consecutive C rows of the tile form one batch, the last padded.
-        const std::size_t nbatches = (nb + C - 1) / C;
-        std::vector<detail::LaneBatch<Scalar>> batches(nbatches);
-        for (std::size_t g = 0; g < nbatches; ++g) {
-          detail::LaneBatch<Scalar>& st = batches[g];
-          st.lanes = std::min(C, nb - g * C);
-          for (std::size_t l = 0; l < st.lanes; ++l) {
-            st.pos[l] = begin + g * C + l;
-          }
-          detail::batch_seed(st, xs, ys);
-        }
-
-        // Residuals staged per (row, bandwidth-in-block), then folded in
-        // ascending row order.
-        std::vector<Scalar> buf(nb * k_block);
-
-        for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
-          const std::size_t kb = std::min(k_block, k - b0);
-          const std::span<const Scalar> hs(host_grid.data() + b0, kb);
-          for (detail::LaneBatch<Scalar>& st : batches) {
-            detail::batch_resume(
-                st, xs, ys, hs, poly,
-                [&](std::size_t b, std::size_t l, Scalar sq) {
-                  buf[(st.pos[l] - begin) * kb + b] = sq;
-                },
-                tstats);
-          }
-          for (std::size_t r = 0; r < nb; ++r) {
-            for (std::size_t b = 0; b < kb; ++b) {
-              acc[b0 + b] += static_cast<double>(buf[r * kb + b]);
-            }
-          }
-        }
-      },
-      pool);
-
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
-  for (double& total : totals) {
-    total /= static_cast<double>(n);
-  }
-  if (stats != nullptr) {
-    for (const BatchRunStats& ts : tile_stats) {
-      *stats += ts;
-    }
-  }
-  return totals;
-}
-
-}  // namespace
-
-std::vector<double> window_cv_profile_batched(const data::Dataset& data,
-                                              std::span<const double> grid,
-                                              KernelType kernel,
-                                              Precision precision,
-                                              HostTiling tiling,
-                                              parallel::ThreadPool* pool,
-                                              BatchRunStats* stats) {
-  if (data.empty()) {
-    throw std::invalid_argument("window_cv_profile_batched: empty dataset");
-  }
-  validate_bandwidth_grid(grid, "window_cv_profile_batched");
-  if (!is_sweepable(kernel)) {
-    throw std::invalid_argument(
-        "window_cv_profile_batched: kernel '" +
-        std::string(to_string(kernel)) +
-        "' is not supported by the window sweep; use the naive path");
-  }
-  return precision == Precision::kFloat
-             ? profile_batched<float>(data, grid, kernel, tiling, pool, stats)
-             : profile_batched<double>(data, grid, kernel, tiling, pool,
-                                       stats);
 }
 
 }  // namespace kreg

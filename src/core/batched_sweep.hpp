@@ -5,11 +5,9 @@
 #include <span>
 #include <vector>
 
-#include "core/batch_stats.hpp"
 #include "core/kernels.hpp"
 #include "core/window_sweep.hpp"
 #include "data/dataset.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace kreg {
 
@@ -79,20 +77,12 @@ std::vector<std::uint32_t> sigma_batch_order(
     std::size_t begin, std::size_t end, std::size_t scope,
     SigmaPolicy policy, std::size_t position_bucket);
 
-/// The batched window-sweep CV profile: same contract as
-/// `window_cv_profile_tiled` (tiles scheduled across the pool, k-blocks
-/// innermost, deterministic tile-order combination), with each tile's
-/// observations executed as kLaneWidth-wide lane batches of consecutive
-/// sorted observations. Residuals are staged per tile and folded in
-/// ascending observation order, so the result is **bitwise identical** to
-/// `window_cv_profile_tiled` with the same tiling — and to the sequential
-/// `window_cv_profile` whenever one tile covers the dataset. `stats`, when
-/// non-null, receives the summed contiguous-run / gather step ledger of
-/// every tile.
-std::vector<double> window_cv_profile_batched(
+/// The lane-batched host profile under its earlier name: a forward to
+/// window_cv_profile_tiled, which runs every tile as lane batches.
+inline std::vector<double> window_cv_profile_batched(
     const data::Dataset& data, std::span<const double> grid,
-    KernelType kernel, Precision precision = Precision::kDouble,
-    HostTiling tiling = {}, parallel::ThreadPool* pool = nullptr,
-    BatchRunStats* stats = nullptr);
+    KernelType kernel, Precision precision = Precision::kDouble) {
+  return window_cv_profile_tiled(data, grid, kernel, precision);
+}
 
 }  // namespace kreg

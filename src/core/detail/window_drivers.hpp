@@ -1,12 +1,16 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/batched_sweep.hpp"
 #include "core/detail/device_sweep.hpp"
 #include "core/streaming.hpp"
 #include "core/window_sweep.hpp"
@@ -41,60 +45,100 @@ std::vector<double> sequential_profile(const Sweep& sweep, Grid grid) {
   return totals;
 }
 
-/// The cache-blocked profile mirroring the device's k-block streaming:
-/// observations tile into n-blocks (the pool schedules tiles), each tile
-/// carries its rows' states across ascending k-blocks taken innermost, and
-/// every (tile, k-block) cell adds into the tile's private score slice.
-/// Tile partials combine in tile order, so the profile depends on the
-/// tiling alone — the same bits on every pool — and matches the sequential
-/// profile up to summation regrouping (bitwise when one tile covers n).
-///
-/// Auto tiling: 2048 observations keep a tile's carry (≤ 128 B per row)
-/// within a ~256 KiB L2 slice alongside the sorted-array window it reads;
-/// 64 grid entries bound the score slice the innermost loop touches.
-/// Explicit blocks clamp to (n, k).
-template <class Sweep, class Grid>
-std::vector<double> tiled_profile(const Sweep& sweep, Grid grid,
-                                  HostTiling tiling,
-                                  parallel::ThreadPool* pool) {
-  const std::size_t n = sweep.xs.size();
-  const std::size_t k = grid.size();
-  const std::size_t n_block = tiling.tile_rows(n);
-  const std::size_t k_block =
-      std::min(tiling.k_block != 0 ? tiling.k_block : 64, k);
+/// Rows per tile of the host tiled profile: eight lane batches. A tile's
+/// carried state and its rows × kTileEntries residual slab (32 KiB in
+/// double) stay on the worker's stack, within L1/L2.
+inline constexpr std::size_t kTileRows = 8 * kLaneWidth;
+/// Grid entries per k-block of the host tiled profile.
+inline constexpr std::size_t kTileEntries = 64;
 
-  const std::size_t tiles = (n + n_block - 1) / n_block;
-  std::vector<std::vector<double>> partials(tiles,
-                                            std::vector<double>(k, 0.0));
+/// The scalar host pass of a window policy, the one tiled_profile runs for
+/// k-NN and OSCV: a tile keeps one State per row, and every row resumes on
+/// its own. (NW's tiled profile runs lane batches instead, window_sweep.cpp.)
+template <class Sweep>
+struct RowPass {
+  using sweep_type = Sweep;
+  using Tile = std::array<typename Sweep::State, kTileRows>;
+
+  Sweep sweep;
+
+  void seed(Tile& tile, std::size_t pos0, std::size_t rows) const {
+    for (std::size_t r = 0; r < rows; ++r) {
+      sweep.seed(pos0 + r, tile[r]);
+    }
+  }
+
+  /// `write(b, r, value)` receives row r's value at slice index b.
+  template <class Grid, class Write>
+  void resume(Tile& tile, std::size_t pos0, std::size_t rows, Grid hs,
+              Write&& write) const {
+    for (std::size_t r = 0; r < rows; ++r) {
+      sweep.resume(hs, pos0 + r, tile[r],
+                   [&](std::size_t b, auto value) { write(b, r, value); });
+    }
+  }
+};
+
+/// The host tiled profile: sequential_profile's bits on every pool.
+///
+/// Tiles are runs of kTileRows consecutive sorted rows, claimed in
+/// ascending order by the pool's workers. A tile seeds its rows and sweeps
+/// the grid in ascending k-blocks of kTileEntries; after each k-block it
+/// adds its rows' values, in ascending row order, into that k-block's
+/// running totals — once the previous tile has done the same (one ticket
+/// per k-block counts the tiles folded so far). Every grid entry therefore
+/// takes the rows in the sequential sweep's order, whatever the pool, and
+/// there are no per-tile partials to combine.
+///
+/// The tile body allocates nothing and cannot throw: a tile that failed
+/// would leave its successors waiting on its tickets. A call from one of
+/// the pool's own workers runs the tiles serially, in order. `pass` is a
+/// RowPass or NW's lane-batch pass.
+template <class Pass, class Grid>
+std::vector<double> tiled_profile(const Pass& pass, Grid grid,
+                                  parallel::ThreadPool* pool) {
+  using Scalar = typename Pass::sweep_type::scalar_type;
+  const std::size_t n = pass.sweep.xs.size();
+  const std::size_t k = grid.size();
+  const std::size_t tiles = (n + kTileRows - 1) / kTileRows;
+  const std::size_t k_blocks = (k + kTileEntries - 1) / kTileEntries;
+  std::vector<double> totals(k, 0.0);
+  std::vector<std::atomic<std::uint32_t>> tickets(k_blocks);
+
   parallel::parallel_for(
       tiles,
       [&](std::size_t tile) {
-        const std::size_t begin = tile * n_block;
-        const std::size_t nb = std::min(n_block, n - begin);
-        std::vector<double>& acc = partials[tile];
-        std::vector<typename Sweep::State> states(nb);
-        for (std::size_t r = 0; r < nb; ++r) {
-          sweep.seed(begin + r, states[r]);
-        }
-        // k-blocks innermost, ascending (the windows are monotone).
-        for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
-          const Grid slice = grid.subspan(b0, std::min(k_block, k - b0));
-          for (std::size_t r = 0; r < nb; ++r) {
-            sweep.resume(slice, begin + r, states[r],
-                         [&](std::size_t b, auto sq) {
-                           acc[b0 + b] += static_cast<double>(sq);
-                         });
+        const std::size_t pos0 = tile * kTileRows;
+        const std::size_t rows = std::min(kTileRows, n - pos0);
+        // Tickets count modulo 2^32: tile t waits for exactly t.
+        const auto mine = static_cast<std::uint32_t>(tile);
+        typename Pass::Tile state{};
+        Scalar resid[kTileRows * kTileEntries] = {};
+        pass.seed(state, pos0, rows);
+        for (std::size_t j = 0; j < k_blocks; ++j) {
+          const std::size_t b0 = j * kTileEntries;
+          const std::size_t kb = std::min(kTileEntries, k - b0);
+          pass.resume(state, pos0, rows, grid.subspan(b0, kb),
+                      [&](std::size_t b, std::size_t r, Scalar value) {
+                        resid[r * kb + b] = value;
+                      });
+          std::atomic<std::uint32_t>& ticket = tickets[j];
+          for (std::uint32_t seen = ticket.load(std::memory_order_acquire);
+               seen != mine; seen = ticket.load(std::memory_order_acquire)) {
+            ticket.wait(seen, std::memory_order_acquire);
           }
+          double* block = totals.data() + b0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t b = 0; b < kb; ++b) {
+              block[b] += static_cast<double>(resid[r * kb + b]);
+            }
+          }
+          ticket.store(mine + 1, std::memory_order_release);
+          ticket.notify_all();
         }
       },
-      pool);
+      pool, parallel::Schedule::kDynamic, 1);
 
-  std::vector<double> totals(k, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t b = 0; b < k; ++b) {
-      totals[b] += partial[b];
-    }
-  }
   for (double& total : totals) {
     total /= static_cast<double>(n);
   }
@@ -216,17 +260,32 @@ std::size_t window_bytes(const Sweep& sweep, std::size_t span,
          kb * sizeof(double);
 }
 
+/// The grid entries of element type G one pass can hold in `device`'s
+/// constant cache. The auto plans cap their k-block here; an explicit
+/// k-block or `auto_tune = false` keeps the paper's cap, and the upload
+/// throws ConstantCapacityError past it.
+template <class G>
+std::size_t constant_grid_entries(const spmd::Device& device) {
+  return device.properties().constant_cache_bytes / sizeof(G);
+}
+
 /// The plan of the slice [begin, end) of `sweep`'s sorted positions on
-/// `device`: resolve_streaming_2d against window_bytes and the device's
-/// budget. A block covering the slice reads the whole sorted arrays, a
-/// smaller one the widest halo slab at `reach`; the resident plan is the
-/// one block (end − begin, k).
-template <class Sweep>
+/// `device`, for a grid of `k` entries of type G: resolve_streaming_2d
+/// against window_bytes and the device's budget, with the auto k-block
+/// capped at constant_grid_entries<G>. A block covering the slice reads the
+/// whole sorted arrays, a smaller one the widest halo slab at `reach`; the
+/// resident plan is the one block (end − begin, k).
+template <class G, class Sweep>
 StreamingPlan window_plan(const spmd::Device& device,
                           const StreamingConfig& stream, const Sweep& sweep,
                           std::size_t begin, std::size_t end, std::size_t k,
                           typename Sweep::scalar_type reach) {
-  const TileBytesFn bytes = [&](std::size_t nb, std::size_t kb) {
+  const std::size_t max_kb = constant_grid_entries<G>(device);
+  const TileBytesFn bytes = [&](std::size_t nb,
+                                std::size_t kb) -> std::size_t {
+    if (kb > max_kb) {
+      return SIZE_MAX;  // no auto plan may put more in constant memory
+    }
     const std::size_t rows = std::min(nb, end - begin);
     const std::size_t span =
         rows == end - begin
@@ -239,20 +298,27 @@ StreamingPlan window_plan(const spmd::Device& device,
                               device.properties().memory_budget().global_bytes);
 }
 
-/// The n-resident plan of the whole sorted arrays on `device`:
-/// resolve_streaming against window_bytes, only the grid streaming. For the
-/// policies whose device profile runs n-resident (k-NN, whose windows are
-/// neighbour counts with no distance reach, and OSCV).
-template <class Sweep>
+/// The n-resident plan of the whole sorted arrays on `device`, for a grid
+/// of `k` entries of type G: resolve_streaming against window_bytes, only
+/// the grid streaming, the auto k-block capped at constant_grid_entries<G>.
+/// For the policies whose device profile runs n-resident (k-NN, whose
+/// windows are neighbour counts with no distance reach, and OSCV).
+template <class G, class Sweep>
 StreamingPlan window_plan_k(const spmd::Device& device,
                             const StreamingConfig& stream, const Sweep& sweep,
                             std::size_t k) {
   const std::size_t n = sweep.xs.size();
+  const std::size_t max_kb = constant_grid_entries<G>(device);
   const std::size_t base = window_bytes(sweep, n, n, k, 0);
   const std::size_t one = window_bytes(sweep, n, n, k, 1);
-  return resolve_streaming(stream, k, window_bytes(sweep, n, n, k, k), base,
-                           one > base ? one - base : 0,
-                           device.properties().memory_budget().global_bytes);
+  StreamingPlan plan = resolve_streaming(
+      stream, k, k > max_kb ? SIZE_MAX : window_bytes(sweep, n, n, k, k), base,
+      one > base ? one - base : 0,
+      device.properties().memory_budget().global_bytes);
+  if (plan.streamed && stream.k_block == 0) {
+    plan.k_block = std::min(plan.k_block, max_kb);
+  }
+  return plan;
 }
 
 /// Launch and allocation names of one estimator's device window profile.

@@ -128,7 +128,7 @@ std::vector<double> run_nw(const SelectionJob& job, const JobContext& ctx) {
                                job.precision);
     case JobBackend::kHostTiled:
       return window_cv_profile_tiled(*job.data, job.bandwidth_grid, job.kernel,
-                                     job.precision, job.tiling, ctx.pool);
+                                     job.precision, ctx.pool);
     case JobBackend::kDevice: {
       SpmdSelectorConfig config;
       config.kernel = job.kernel;
@@ -149,7 +149,7 @@ std::vector<double> run_knn(const SelectionJob& job, const JobContext& ctx) {
       return knn_cv_profile(*job.data, job.neighbor_grid, job.precision);
     case JobBackend::kHostTiled:
       return knn_cv_profile_tiled(*job.data, job.neighbor_grid, job.precision,
-                                  job.tiling, ctx.pool);
+                                  ctx.pool);
     case JobBackend::kDevice: {
       KnnDeviceConfig config;
       config.precision = job.precision;
@@ -168,7 +168,7 @@ std::vector<double> run_oscv(const SelectionJob& job, const JobContext& ctx) {
                           job.precision);
     case JobBackend::kHostTiled:
       return oscv_profile_tiled(*job.data, job.bandwidth_grid, job.kernel,
-                                job.precision, job.tiling, ctx.pool);
+                                job.precision, ctx.pool);
     case JobBackend::kDevice: {
       OscvDeviceConfig config;
       config.precision = job.precision;

@@ -7,7 +7,6 @@
 
 #include "core/selectors.hpp"
 #include "core/streaming.hpp"
-#include "core/window_sweep.hpp"
 #include "data/dataset.hpp"
 #include "parallel/thread_pool.hpp"
 #include "spmd/device.hpp"
@@ -23,10 +22,10 @@ namespace kreg {
 enum class JobBackend {
   /// Sequential host window sweep (window_cv_profile and friends).
   kHostSweep,
-  /// Cache-blocked host sweep (window_cv_profile_tiled and friends): tiles
-  /// combine in tile order with fixed auto tile sizes, so the profile is
-  /// identical for every pool size — including 1 (TiledPools in
-  /// knn_sweep_test holds this on pools of 1, 2 and 4 workers).
+  /// The host's parallel sweep (window_cv_profile_tiled and friends): tiles
+  /// of rows on the pool, each grid entry folded in ascending row order, so
+  /// the profile is the sequential sweep's bit for bit on every pool size
+  /// (TiledPools in knn_sweep_test holds this on 1, 2 and 4 workers).
   kHostTiled,
   /// The SPMD device sweep, with the streaming knobs honored.
   kDevice,
@@ -62,9 +61,6 @@ struct SelectionJob {
   /// the budget induces is bitwise identical, so the tightening is
   /// invisible in the profile.
   StreamingConfig stream;
-  /// Host tiling for kHostTiled (0 = auto; auto sizes are fixed
-  /// constants, not pool-derived, so the default stays deterministic).
-  HostTiling tiling;
 
   /// Grid length for this job's estimator.
   std::size_t grid_size() const noexcept {

@@ -26,13 +26,13 @@ void check_knn_inputs(const data::Dataset& data,
 template <class Scalar>
 std::vector<double> profile(const data::Dataset& data,
                             std::span<const std::size_t> kgrid,
-                            const HostTiling* tiling,
-                            parallel::ThreadPool* pool) {
+                            bool tiled, parallel::ThreadPool* pool) {
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const detail::KnnWindow<Scalar> sweep{sorted.x, sorted.y};
-  return tiling == nullptr
-             ? detail::sequential_profile(sweep, kgrid)
-             : detail::tiled_profile(sweep, kgrid, *tiling, pool);
+  return tiled ? detail::tiled_profile(
+                     detail::RowPass<detail::KnnWindow<Scalar>>{sweep}, kgrid,
+                     pool)
+               : detail::sequential_profile(sweep, kgrid);
 }
 
 /// The O(n²·|grid|) reference. Works on the same sorted arrays as the fast
@@ -102,7 +102,7 @@ std::vector<double> profile_device(spmd::Device& device,
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const detail::KnnWindow<Scalar> sweep{sorted.x, sorted.y};
   const StreamingPlan plan =
-      detail::window_plan_k(device, config.stream, sweep, k);
+      detail::window_plan_k<std::uint32_t>(device, config.stream, sweep, k);
   // Clamp the request to the device, as the NW and KDE selectors do.
   const std::size_t tpb = std::min(config.threads_per_block,
                                    device.properties().max_threads_per_block);
@@ -159,19 +159,18 @@ std::vector<double> knn_cv_profile(const data::Dataset& data,
                                    Precision precision) {
   check_knn_inputs(data, kgrid, "knn_cv_profile");
   return precision == Precision::kFloat
-             ? profile<float>(data, kgrid, nullptr, nullptr)
-             : profile<double>(data, kgrid, nullptr, nullptr);
+             ? profile<float>(data, kgrid, false, nullptr)
+             : profile<double>(data, kgrid, false, nullptr);
 }
 
 std::vector<double> knn_cv_profile_tiled(const data::Dataset& data,
                                          std::span<const std::size_t> kgrid,
                                          Precision precision,
-                                         HostTiling tiling,
                                          parallel::ThreadPool* pool) {
   check_knn_inputs(data, kgrid, "knn_cv_profile_tiled");
   return precision == Precision::kFloat
-             ? profile<float>(data, kgrid, &tiling, pool)
-             : profile<double>(data, kgrid, &tiling, pool);
+             ? profile<float>(data, kgrid, true, pool)
+             : profile<double>(data, kgrid, true, pool);
 }
 
 std::vector<double> knn_cv_profile_naive(const data::Dataset& data,

@@ -33,10 +33,8 @@ namespace kreg {
 /// accumulates each side strictly outward, so each (observation, k)
 /// residual is bit-identical everywhere — including the naive reference,
 /// which re-accumulates in the same outward order. The sequential, device,
-/// streamed-k-block, and naive profiles therefore agree **bitwise** (their
-/// per-k score folds also run in ascending observation order); the tiled
-/// profile regroups that fold at tile boundaries — the same bits on every
-/// pool, tolerance-equal, and bitwise when one tile covers n. Every
+/// streamed-k-block, tiled and naive profiles therefore agree **bitwise**
+/// (their per-k score folds all run in ascending observation order). Every
 /// backend runs one policy, detail::KnnWindow (detail/window_policy.hpp,
 /// wrapping knn_sweep_seed/resume in detail/device_sweep.hpp), through the
 /// shared drivers of detail/window_drivers.hpp.
@@ -65,17 +63,14 @@ std::vector<double> knn_cv_profile(const data::Dataset& data,
                                    std::span<const std::size_t> kgrid,
                                    Precision precision = Precision::kDouble);
 
-/// Cache-blocked host mirror of the device's k-block streaming, and the
-/// host's parallel profile: tiles of observations carry their window state
-/// (two pointers, two side sums) across ascending k-blocks taken
-/// innermost, and tile partials combine in tile order — the same bits on
-/// every pool, within summation regrouping of knn_cv_profile (bitwise when
-/// one tile covers n). Blocks larger than (n, |grid|) clamp to it.
-std::vector<double> knn_cv_profile_tiled(const data::Dataset& data,
-                                         std::span<const std::size_t> kgrid,
-                                         Precision precision = Precision::kDouble,
-                                         HostTiling tiling = {},
-                                         parallel::ThreadPool* pool = nullptr);
+/// The host's parallel profile: knn_cv_profile bit for bit on every pool
+/// (`pool` nullptr = the global pool). Tiles of consecutive sorted
+/// observations run on the pool, and each count's total takes the
+/// observations in ascending order (detail::tiled_profile).
+std::vector<double> knn_cv_profile_tiled(
+    const data::Dataset& data, std::span<const std::size_t> kgrid,
+    Precision precision = Precision::kDouble,
+    parallel::ThreadPool* pool = nullptr);
 
 /// Naive O(n²·|grid|) reference: per (observation, k) finds r_k by
 /// selection over all n − 1 LOO distances, then re-accumulates the

@@ -29,16 +29,16 @@ void check_oscv_inputs(const data::Dataset& data, std::span<const double> grid,
 template <class Scalar>
 std::vector<double> profile(const data::Dataset& data,
                             std::span<const double> grid, KernelType kernel,
-                            const HostTiling* tiling,
-                            parallel::ThreadPool* pool) {
+                            bool tiled, parallel::ThreadPool* pool) {
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const std::vector<Scalar> host_grid(grid.begin(), grid.end());
   const detail::OscvWindow<Scalar> sweep{sorted.x, sorted.y,
                                          sweep_polynomial(kernel)};
   const std::span<const Scalar> hs(host_grid);
-  return tiling == nullptr
-             ? detail::sequential_profile(sweep, hs)
-             : detail::tiled_profile(sweep, hs, *tiling, pool);
+  return tiled ? detail::tiled_profile(
+                     detail::RowPass<detail::OscvWindow<Scalar>>{sweep}, hs,
+                     pool)
+               : detail::sequential_profile(sweep, hs);
 }
 
 /// The O(n²·|grid|) reference: per (observation, b) the one-sided moments
@@ -106,7 +106,7 @@ std::vector<double> profile_device(spmd::Device& device,
   const detail::OscvWindow<Scalar> sweep{sorted.x, sorted.y,
                                          sweep_polynomial(kernel)};
   const StreamingPlan plan =
-      detail::window_plan_k(device, config.stream, sweep, k);
+      detail::window_plan_k<Scalar>(device, config.stream, sweep, k);
   // Clamp the request to the device, as the NW and KDE selectors do.
   const std::size_t tpb = std::min(config.threads_per_block,
                                    device.properties().max_threads_per_block);
@@ -174,19 +174,18 @@ std::vector<double> oscv_profile(const data::Dataset& data,
                                  KernelType kernel, Precision precision) {
   check_oscv_inputs(data, grid, kernel, "oscv_profile");
   return precision == Precision::kFloat
-             ? profile<float>(data, grid, kernel, nullptr, nullptr)
-             : profile<double>(data, grid, kernel, nullptr, nullptr);
+             ? profile<float>(data, grid, kernel, false, nullptr)
+             : profile<double>(data, grid, kernel, false, nullptr);
 }
 
 std::vector<double> oscv_profile_tiled(const data::Dataset& data,
                                        std::span<const double> grid,
                                        KernelType kernel, Precision precision,
-                                       HostTiling tiling,
                                        parallel::ThreadPool* pool) {
   check_oscv_inputs(data, grid, kernel, "oscv_profile_tiled");
   return precision == Precision::kFloat
-             ? profile<float>(data, grid, kernel, &tiling, pool)
-             : profile<double>(data, grid, kernel, &tiling, pool);
+             ? profile<float>(data, grid, kernel, true, pool)
+             : profile<double>(data, grid, kernel, true, pool);
 }
 
 std::vector<double> oscv_profile_naive(const data::Dataset& data,
@@ -230,7 +229,7 @@ SelectionResult OscvSweepSelector::select(const data::Dataset& data,
                                           const BandwidthGrid& grid) const {
   std::vector<double> scores =
       parallel_ ? oscv_profile_tiled(data, grid.values(), kernel_, precision_,
-                                     HostTiling{}, pool_)
+                                     pool_)
                 : oscv_profile(data, grid.values(), kernel_, precision_);
   SelectionResult result =
       selection_from_profile(grid, std::move(scores), name());

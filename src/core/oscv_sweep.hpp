@@ -35,9 +35,8 @@ namespace kreg {
 /// Backend contract (same shape as knn_sweep.hpp): per-(i, b) residuals
 /// accumulate strictly outward on the one side, so they are bit-identical
 /// across every fast backend and the naive reference; sequential, device,
-/// and streamed-k-block profiles agree bitwise (ordered score folds),
-/// while tiled regroups the fold at tile boundaries — the same bits on
-/// every pool, and bitwise when one tile covers n. Every backend runs
+/// streamed-k-block and tiled profiles agree bitwise (ordered score
+/// folds, on every pool). Every backend runs
 /// detail::OscvWindow (detail/window_policy.hpp, wrapping
 /// oscv_sweep_seed/resume/oscv_residual in detail/device_sweep.hpp).
 
@@ -57,17 +56,14 @@ std::vector<double> oscv_profile(const data::Dataset& data,
                                  KernelType kernel,
                                  Precision precision = Precision::kDouble);
 
-/// Cache-blocked host mirror of the device's k-block streaming, and the
-/// host's parallel profile: tiles carry the one-sided window state (left
-/// pointer, admitted count, the absolute moments M_q/N_q) across ascending
-/// k-blocks taken innermost; tile partials combine in tile order, the
-/// same bits on every pool. Blocks larger than (n, k) clamp to it.
-std::vector<double> oscv_profile_tiled(const data::Dataset& data,
-                                       std::span<const double> grid,
-                                       KernelType kernel,
-                                       Precision precision = Precision::kDouble,
-                                       HostTiling tiling = {},
-                                       parallel::ThreadPool* pool = nullptr);
+/// The host's parallel profile: oscv_profile bit for bit on every pool
+/// (`pool` nullptr = the global pool). Tiles of consecutive sorted
+/// observations run on the pool, and each bandwidth's total takes the
+/// observations in ascending order (detail::tiled_profile).
+std::vector<double> oscv_profile_tiled(
+    const data::Dataset& data, std::span<const double> grid,
+    KernelType kernel, Precision precision = Precision::kDouble,
+    parallel::ThreadPool* pool = nullptr);
 
 /// Naive O(n²·|grid|) reference: re-accumulates every (observation, b)
 /// one-sided moment set from scratch (same outward order, same
@@ -107,11 +103,12 @@ std::size_t oscv_estimated_streamed_bytes(std::size_t n, std::size_t k_block,
                                           KernelType kernel);
 
 /// OSCV as a drop-in Selector: minimizes OSCV(b) over the grid via the
-/// fast one-sided sweep (`parallel`: oscv_profile_tiled with auto tiling
-/// on `pool`), then reports the *rescaled* two-sided bandwidth
-/// ĥ = C·b̂ in SelectionResult::bandwidth. `grid`/`scores` hold the
-/// one-sided profile over the b-grid (so the argmin relation
-/// scores[argmin] == cv_score still holds; bandwidth is C·grid[argmin]).
+/// fast one-sided sweep (`parallel`: oscv_profile_tiled on `pool`, the
+/// same bits as the sequential sweep), then reports the *rescaled*
+/// two-sided bandwidth ĥ = C·b̂ in SelectionResult::bandwidth.
+/// `grid`/`scores` hold the one-sided profile over the b-grid (so the
+/// argmin relation scores[argmin] == cv_score still holds; bandwidth is
+/// C·grid[argmin]).
 class OscvSweepSelector final : public Selector {
  public:
   explicit OscvSweepSelector(KernelType kernel = KernelType::kEpanechnikov,

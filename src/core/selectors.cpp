@@ -82,7 +82,7 @@ SelectionResult WindowSweepSelector::select(const data::Dataset& data,
   data.validate();
   std::vector<double> scores =
       parallel_ ? window_cv_profile_tiled(data, grid.values(), kernel_,
-                                          precision_, HostTiling{}, pool_)
+                                          precision_, pool_)
                 : window_cv_profile(data, grid.values(), kernel_, precision_);
   return selection_from_profile(grid, std::move(scores), name());
 }

@@ -129,8 +129,8 @@ class ParallelSortedGridSelector final : public Selector {
 /// per-row-sort paths' O(n² log n), with O(n) extra memory. Same profile as
 /// SortedGridSelector up to floating-point recombination error; the
 /// per-row-sort selectors remain the paper-faithful ablation baseline.
-/// `parallel` runs window_cv_profile_tiled with auto tiling on `pool`
-/// (nullptr = global): the same bits on every pool.
+/// `parallel` runs window_cv_profile_tiled on `pool` (nullptr = global):
+/// lane-batched tiles, the sequential profile's bits on every pool.
 class WindowSweepSelector final : public Selector {
  public:
   explicit WindowSweepSelector(KernelType kernel = KernelType::kEpanechnikov,

@@ -72,8 +72,8 @@ SelectionResult SpmdKdeSelector::select(std::span<const double> xs,
     const detail::KdeWindow sweep{sorted_x, kpoly, cpoly};
     const double reach =
         std::max(kpoly.support_scale, cpoly.support_scale) * grid[k - 1];
-    const StreamingPlan plan =
-        detail::window_plan(device_, config_.stream, sweep, 0, n, k, reach);
+    const StreamingPlan plan = detail::window_plan<double>(
+        device_, config_.stream, sweep, 0, n, k, reach);
     detail::device_window_totals(
         device_, detail::PolicyPass<detail::KdeWindow>{sweep, tpb},
         std::span<const double>(hs), 0, n, plan, reach, scores,

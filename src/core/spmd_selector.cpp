@@ -108,7 +108,7 @@ std::vector<double> window_device_profile(
     // way so one selector config runs on any device.
     const std::size_t tpb = std::min(
         config.threads_per_block, device.properties().max_threads_per_block);
-    const StreamingPlan plan = window_plan(
+    const StreamingPlan plan = window_plan<Scalar>(
         device, config.stream, sweep, slice.begin, slice.end, hs.size(),
         reach);
     device_window_totals(device,
@@ -321,7 +321,7 @@ StreamingPlan SpmdGridSelector::streaming_plan(
   const auto plan = [&](auto scalar) {
     using Scalar = decltype(scalar);
     const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-    return detail::window_plan(
+    return detail::window_plan<Scalar>(
         device_, config_.stream,
         detail::NwWindow<Scalar>{sorted.x, sorted.y,
                                  sweep_polynomial(config_.kernel)},

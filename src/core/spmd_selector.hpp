@@ -29,7 +29,7 @@ struct SpmdSelectorConfig {
   KernelType kernel = KernelType::kEpanechnikov;
   /// The paper computes in single precision; kDouble is this library's
   /// extension. Note the constant-memory cap halves for doubles
-  /// (1,024 bandwidths instead of 2,048).
+  /// (1,024 bandwidths instead of 2,048 in one constant upload).
   Precision precision = Precision::kFloat;
   /// Paper: "the fastest performance was found with threads per block set
   /// to 512, the maximum possible on the GPU being used".
@@ -63,10 +63,13 @@ struct SpmdSelectorConfig {
   /// Defaults keep small problems on the resident path and engage each
   /// streaming dimension automatically only when the previous plan would
   /// exceed the device's global memory (or an explicit/KREG_MEMORY_BUDGET
-  /// budget). Streaming also lifts the constant-cache cap on k: only one
-  /// block of bandwidths occupies constant memory at a time. Every tiling
-  /// is bitwise identical to the resident sweep and to the host's
-  /// window_cv_profile. Window algorithm only.
+  /// budget), or when the grid outgrows the constant cache: the auto plan
+  /// caps its k-block at the cache (2,048 floats, 1,024 doubles), so only
+  /// one block of bandwidths occupies constant memory at a time. An
+  /// explicit k_block or auto_tune = false uploads what it is given and
+  /// keeps the paper's ConstantCapacityError. Every tiling is bitwise
+  /// identical to the resident sweep and to the host's window_cv_profile.
+  /// Window algorithm only.
   StreamingConfig stream;
   /// Lane batching of the window kernels (see core/detail/window_pass.hpp):
   /// kLaneWidth (the default) has each device dispatch step kLaneWidth

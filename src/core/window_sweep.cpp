@@ -1,8 +1,12 @@
 #include "core/window_sweep.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 
+#include "core/batched_sweep.hpp"
+#include "core/detail/batched_lanes.hpp"
 #include "core/detail/window_drivers.hpp"
 #include "core/detail/window_policy.hpp"
 #include "core/validate_grid.hpp"
@@ -51,19 +55,51 @@ void check_window_inputs(const data::Dataset& data,
   }
 }
 
+/// NW's pass of the host tiled profile: a tile's rows as lane batches of
+/// kLaneWidth consecutive rows (batch_seed/batch_resume), each lane bitwise
+/// the scalar NwWindow row. Instantiates the host lane kernels.
+template <class Scalar>
+struct NwLaneTilePass {
+  using sweep_type = detail::NwWindow<Scalar>;
+  using Tile = std::array<detail::LaneBatch<Scalar>,
+                          detail::kTileRows / kLaneWidth>;
+
+  sweep_type sweep;
+
+  void seed(Tile& tile, std::size_t pos0, std::size_t rows) const {
+    for (std::size_t g = 0; g * kLaneWidth < rows; ++g) {
+      detail::LaneBatch<Scalar>& batch = tile[g];
+      batch.lanes = std::min(kLaneWidth, rows - g * kLaneWidth);
+      for (std::size_t l = 0; l < batch.lanes; ++l) {
+        batch.pos[l] = pos0 + g * kLaneWidth + l;
+      }
+      detail::batch_seed(batch, sweep.xs, sweep.ys);
+    }
+  }
+
+  template <class Write>
+  void resume(Tile& tile, std::size_t /*pos0*/, std::size_t rows,
+              std::span<const Scalar> hs, Write&& write) const {
+    for (std::size_t g = 0; g * kLaneWidth < rows; ++g) {
+      detail::batch_resume(tile[g], sweep.xs, sweep.ys, hs, sweep.poly,
+                           [&](std::size_t b, std::size_t l, Scalar sq) {
+                             write(b, g * kLaneWidth + l, sq);
+                           });
+    }
+  }
+};
+
 template <class Scalar>
 std::vector<double> profile(const data::Dataset& data,
                             std::span<const double> grid, KernelType kernel,
-                            const HostTiling* tiling,
-                            parallel::ThreadPool* pool) {
+                            bool tiled, parallel::ThreadPool* pool) {
   const SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
   const std::vector<Scalar> host_grid(grid.begin(), grid.end());
   const detail::NwWindow<Scalar> sweep{sorted.x, sorted.y,
                                        sweep_polynomial(kernel)};
   const std::span<const Scalar> hs(host_grid);
-  return tiling == nullptr
-             ? detail::sequential_profile(sweep, hs)
-             : detail::tiled_profile(sweep, hs, *tiling, pool);
+  return tiled ? detail::tiled_profile(NwLaneTilePass<Scalar>{sweep}, hs, pool)
+               : detail::sequential_profile(sweep, hs);
 }
 
 }  // namespace
@@ -73,38 +109,19 @@ std::vector<double> window_cv_profile(const data::Dataset& data,
                                       KernelType kernel, Precision precision) {
   check_window_inputs(data, grid, kernel, "window_cv_profile");
   return precision == Precision::kFloat
-             ? profile<float>(data, grid, kernel, nullptr, nullptr)
-             : profile<double>(data, grid, kernel, nullptr, nullptr);
+             ? profile<float>(data, grid, kernel, false, nullptr)
+             : profile<double>(data, grid, kernel, false, nullptr);
 }
 
 std::vector<double> window_cv_profile_tiled(const data::Dataset& data,
                                             std::span<const double> grid,
                                             KernelType kernel,
                                             Precision precision,
-                                            HostTiling tiling,
                                             parallel::ThreadPool* pool) {
   check_window_inputs(data, grid, kernel, "window_cv_profile_tiled");
   return precision == Precision::kFloat
-             ? profile<float>(data, grid, kernel, &tiling, pool)
-             : profile<double>(data, grid, kernel, &tiling, pool);
-}
-
-HostTiling host_tiling_from_stream(const StreamingConfig& stream) {
-  HostTiling tiling;
-  tiling.n_block = stream.n_block;
-  tiling.k_block = stream.k_block;
-  if (tiling.n_block == 0) {
-    std::size_t budget = stream.memory_budget_bytes;
-    if (budget == 0 && stream.auto_tune) {
-      budget = env_memory_budget();
-    }
-    if (budget != 0) {
-      // The tiled_profile auto-tiling doc's carry model: ≲128 B per
-      // observation (two pointers + two moment vectors at terms = 7).
-      tiling.n_block = std::max<std::size_t>(1, budget / 128);
-    }
-  }
-  return tiling;
+             ? profile<float>(data, grid, kernel, true, pool)
+             : profile<double>(data, grid, kernel, true, pool);
 }
 
 }  // namespace kreg

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
 
 #include "core/kernels.hpp"
 #include "core/sorted_sweep.hpp"
-#include "core/streaming.hpp"
 #include "data/dataset.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -60,46 +58,15 @@ std::vector<double> window_cv_profile(const data::Dataset& data,
                                       KernelType kernel,
                                       Precision precision = Precision::kDouble);
 
-/// Cache-blocking parameters of `window_cv_profile_tiled`. 0 = auto:
-/// n_block is sized so one tile's carried window state (two pointers plus
-/// the moment sums per observation, ≲ 128 B each) stays within a ~256 KiB
-/// L2 slice, and k_block bounds the per-tile score accumulator touched in
-/// the innermost loop.
-struct HostTiling {
-  std::size_t n_block = 0;  ///< observations per tile (0 = auto, 2048)
-  std::size_t k_block = 0;  ///< bandwidths per inner block (0 = auto, 64)
-
-  /// The observations per tile on `n` observations: n_block (auto 2048)
-  /// clamped to n. The tiled profile's bits depend on this alone — k_block
-  /// leaves every entry's additions in the same order.
-  std::size_t tile_rows(std::size_t n) const noexcept {
-    return std::min<std::size_t>(n_block != 0 ? n_block : 2048, n);
-  }
-};
-
-/// The cache-blocked host kernel mirroring the device's k-block streaming:
-/// observations are tiled into L2-sized n-blocks (the thread pool schedules
-/// tiles), each tile carries its window state across k-blocks taken
-/// innermost, and every (tile, k-block) cell accumulates into the tile's
-/// private score slice. The k-blocks of one tile must run in ascending
-/// order (the admission windows are monotone in h), so parallelism is
-/// across tiles only. Tile partials combine in tile order — the result
-/// depends on the tiling alone, the same bits on every pool, and matches
-/// `window_cv_profile` up to summation regrouping (bitwise when one tile
-/// covers n). Blocks larger than (n, k) clamp to it. This is the host's
-/// parallel profile: WindowSweepSelector's `parallel` mode runs it with
-/// auto tiling.
+/// The host's parallel profile: window_cv_profile bit for bit on every
+/// pool. Tiles of consecutive sorted observations run as lane batches
+/// (batched_sweep.hpp) on `pool` (nullptr = the global pool), and each
+/// bandwidth's total takes the observations in ascending order
+/// (detail::tiled_profile). WindowSweepSelector's `parallel` mode and the
+/// serve `tiled` backend run it.
 std::vector<double> window_cv_profile_tiled(
     const data::Dataset& data, std::span<const double> grid, KernelType kernel,
-    Precision precision = Precision::kDouble, HostTiling tiling = {},
+    Precision precision = Precision::kDouble,
     parallel::ThreadPool* pool = nullptr);
-
-/// Maps the device StreamingConfig onto the host tiling so one
-/// `--n-block`/`--k-block`/`--memory-budget` knob set drives both mirrors:
-/// explicit blocks carry over verbatim; with n_block unset, a nonzero
-/// budget (explicit, or KREG_MEMORY_BUDGET under auto_tune) sizes the tile
-/// by the documented ≲128 B/observation carry model; everything else stays
-/// 0 = auto.
-HostTiling host_tiling_from_stream(const StreamingConfig& stream);
 
 }  // namespace kreg

@@ -32,13 +32,6 @@ CacheKey cache_key(const SelectionJob& job) {
     key.grid_fp = fingerprint_span(job.bandwidth_grid);
     key.grid_size = job.bandwidth_grid.size();
   }
-  // The tiled profile adds per-tile partials, so its bits depend on where
-  // the tiles split; the device reproduces the host sweep's bits (see
-  // CacheKey docs).
-  if (job.backend == JobBackend::kHostTiled) {
-    key.family = 1;
-    key.tile_rows = job.tiling.tile_rows(key.n);
-  }
   return key;
 }
 
@@ -53,8 +46,6 @@ std::size_t CacheKeyHash::operator()(const CacheKey& key) const noexcept {
   h = mix(h, key.grid_fp.lo);
   h = mix(h, key.grid_fp.hi);
   h = mix(h, key.grid_size);
-  h = mix(h, key.family);
-  h = mix(h, key.tile_rows);
   return static_cast<std::size_t>(h);
 }
 

@@ -15,19 +15,14 @@ namespace kreg::serve {
 
 /// Identity of a cached selection profile. Two jobs share an entry exactly
 /// when they would provably compute the same bits: same dataset content
-/// (dual fingerprint + exact length), same estimator/kernel/precision, the
-/// same grid *in the same order* (the grid digest is order-sensitive, so a
-/// permuted grid misses), and the same numeric family. Streaming knobs are
-/// deliberately absent — every plan they induce is bitwise identical for a
-/// fixed key (the streaming parity contract) — and backends collapse into
-/// `family`, the coarsest grouping that is still provably bitwise: for
-/// every estimator the device profile is bitwise the sequential host sweep
-/// (the device window driver folds each grid entry's residuals in the host
-/// sweep's order), but the host *tiled* profile adds per-tile partials and
-/// differs from both in the last ulp once a second tile holds at least two
-/// rows — so it caches as a separate family instead of poisoning
-/// cross-backend hits, keyed by its resolved rows per tile (two tilings
-/// split the partials differently; the k-block leaves the order alone).
+/// (dual fingerprint + exact length), same estimator/kernel/precision, and
+/// the same grid *in the same order* (the grid digest is order-sensitive,
+/// so a permuted grid misses). Streaming knobs are deliberately absent —
+/// every plan they induce is bitwise identical for a fixed key (the
+/// streaming parity contract) — and so is the backend: for every estimator
+/// the host sweep, the host tiled profile and the device all fold each grid
+/// entry's residuals in ascending observation order, so their profiles are
+/// bitwise equal and one entry serves all three.
 struct CacheKey {
   Fingerprint128 data_fp;
   std::size_t n = 0;
@@ -36,10 +31,6 @@ struct CacheKey {
   Precision precision = Precision::kDouble;
   Fingerprint128 grid_fp;
   std::size_t grid_size = 0;
-  /// 0 = the host sweep and the device; 1 = the host tiled profile.
-  std::uint8_t family = 0;
-  /// Family 1's observations per tile (HostTiling::tile_rows); 0 otherwise.
-  std::size_t tile_rows = 0;
 
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };

@@ -64,7 +64,10 @@ struct SchedulerConfig {
   /// Only jobs with grids this small are co-schedule candidates; larger
   /// grids always launch solo.
   std::size_t co_schedule_max_grid = 64;
-  bool record_events = true;
+  /// Keep every decision as an Event for events(). Off by default: the log
+  /// grows with every request served, which a long-running daemon cannot
+  /// afford; the decision-sequence tests turn it on.
+  bool record_events = false;
 };
 
 /// What a client gets back for one submitted job.

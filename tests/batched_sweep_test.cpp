@@ -1,9 +1,10 @@
 // Tests for the batched window-sweep execution layer: the admission-window
 // keys and the σ batch order perfbench's layer probe still uses,
-// bitwise parity of the batched host profile with the scalar
-// resident/tiled sweeps across ragged tails, precisions, kernels and
-// streaming tilings — and the 8-lane device kernels against the scalar
-// device kernels on uniform and clustered X. The LaneKernelParity tests
+// bitwise parity of the lane-batched host tiled profile with the
+// sequential scalar sweep (on pools of 1, 2 and 4 workers) and with the
+// device's streaming tilings across ragged tails, precisions and kernels —
+// and the 8-lane device kernels against the scalar device kernels on
+// uniform and clustered X. The LaneKernelParity tests
 // hold both lane kernels (generic and AVX-512) to the scalar resume.
 #include <gtest/gtest.h>
 
@@ -26,13 +27,13 @@
 #include "core/spmd_selector.hpp"
 #include "core/window_sweep.hpp"
 #include "data/dgp.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/stream.hpp"
 #include "spmd/device.hpp"
 
 namespace {
 
 using kreg::BandwidthGrid;
-using kreg::HostTiling;
 using kreg::KernelType;
 using kreg::MultiDeviceGridSelector;
 using kreg::Precision;
@@ -75,7 +76,9 @@ void expect_bitwise_profiles(const std::vector<double>& got,
                              const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t b = 0; b < want.size(); ++b) {
-    EXPECT_DOUBLE_EQ(got[b], want[b]) << "b=" << b;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[b]),
+              std::bit_cast<std::uint64_t>(want[b]))
+        << "b=" << b << ": " << got[b] << " vs " << want[b];
   }
 }
 
@@ -273,145 +276,6 @@ TEST(AdmissionWindowsTest, LoAndLengthMatchBruteForce) {
   }
 }
 
-// --- host batched profile: bitwise parity ----------------------------------
-
-// One tile covering the dataset ⇒ the batched profile must equal the
-// sequential scalar profile bit for bit, including ragged tails
-// (n mod 8 ≠ 0), on uniform and clustered X.
-TEST(BatchedHostProfile, BitwiseEqualsScalarSingleTile) {
-  const std::vector<double> grid = test_grid();
-  for (const bool clustered : {false, true}) {
-    for (const std::size_t n : {64u, 203u, 517u}) {
-      const Dataset data = clustered ? lane_dataset(true, n, 42 + n)
-                                     : paper_data(n, 42 + n);
-      const std::vector<double> want = kreg::window_cv_profile(
-          data, grid, KernelType::kEpanechnikov, Precision::kDouble);
-      HostTiling one_tile;
-      one_tile.n_block = n;  // single tile: matches profile_sequential order
-      const std::vector<double> got = kreg::window_cv_profile_batched(
-          data, grid, KernelType::kEpanechnikov, Precision::kDouble,
-          one_tile);
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   (clustered ? " clustered X" : " uniform X"));
-      expect_bitwise_profiles(got, want);
-    }
-  }
-}
-
-TEST(BatchedHostProfile, BitwiseEqualsScalarFloat) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(301, 5);
-  const std::vector<double> want = kreg::window_cv_profile(
-      data, grid, KernelType::kEpanechnikov, Precision::kFloat);
-  HostTiling one_tile;
-  one_tile.n_block = 301;
-  const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov, Precision::kFloat, one_tile);
-  expect_bitwise_profiles(got, want);
-}
-
-// Same tiling ⇒ the batched profile must equal the scalar *tiled* profile
-// bit for bit: batching is a pure scheduling change inside each tile.
-TEST(BatchedHostProfile, BitwiseEqualsTiledUnderStreamingTilings) {
-  const std::vector<double> grid = test_grid(37);
-  const Dataset data = paper_data(411, 9);
-  for (const std::size_t n_block : {64u, 128u}) {
-    for (const std::size_t k_block : {8u, 16u, 37u}) {
-      HostTiling tiling;
-      tiling.n_block = n_block;
-      tiling.k_block = k_block;
-      const std::vector<double> want = kreg::window_cv_profile_tiled(
-          data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
-      const std::vector<double> got = kreg::window_cv_profile_batched(
-          data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
-      SCOPED_TRACE("n_block=" + std::to_string(n_block) +
-                   " k_block=" + std::to_string(k_block));
-      expect_bitwise_profiles(got, want);
-    }
-  }
-}
-
-// The quartic kernel exercises the higher moment terms (m up to 4).
-TEST(BatchedHostProfile, BitwiseParityTriweightKernel) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(222, 13);
-  const std::vector<double> want = kreg::window_cv_profile(
-      data, grid, KernelType::kTriweight, Precision::kDouble);
-  HostTiling one_tile;
-  one_tile.n_block = 222;
-  const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kTriweight, Precision::kDouble, one_tile);
-  expect_bitwise_profiles(got, want);
-}
-
-// Tiny samples stress the batch machinery's edges: n < 8 (one batch with
-// padding lanes), n = 8 (exactly one full batch), and n = 8 + 1 (a
-// one-lane ragged tail) — for both precisions, where the contiguous-run
-// detector sees windows pinned against both array edges.
-TEST(BatchedHostProfile, TinyNBitwiseParity) {
-  const std::vector<double> grid = test_grid(16);
-  for (const std::size_t n : {5u, 8u, 9u, 16u, 17u}) {
-    const Dataset data = paper_data(n, 100 + n);
-    HostTiling one_tile;
-    one_tile.n_block = n;
-    for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
-      const std::vector<double> want =
-          kreg::window_cv_profile(data, grid, KernelType::kEpanechnikov,
-                                  precision);
-      BatchRunStats stats;
-      const std::vector<double> got = kreg::window_cv_profile_batched(
-          data, grid, KernelType::kEpanechnikov, precision, one_tile,
-          nullptr, &stats);
-      SCOPED_TRACE("n=" + std::to_string(n) + " float=" +
-                   std::to_string(precision == Precision::kFloat));
-      expect_bitwise_profiles(got, want);
-      EXPECT_GE(stats.contig_rate(), 0.0);
-      EXPECT_LE(stats.contig_rate(), 1.0);
-    }
-  }
-}
-
-// A batch's lanes are consecutive sorted observations and admit from
-// overlapping index ranges, so the contiguous-run transpose path must
-// actually fire — and firing must not perturb a single bit of the profile.
-TEST(BatchedHostProfile, ContigFastPathFiresAndStaysBitwise) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(1024, 77);
-  const std::vector<double> want = kreg::window_cv_profile(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble);
-  HostTiling one_tile;
-  one_tile.n_block = 1024;
-  BatchRunStats stats;
-  const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, one_tile,
-      nullptr, &stats);
-  expect_bitwise_profiles(got, want);
-  EXPECT_GT(stats.contig_steps, 0u);
-  EXPECT_GT(stats.contig_steps + stats.gather_steps, 0u);
-  EXPECT_GE(stats.contig_rate(), 0.0);
-  EXPECT_LE(stats.contig_rate(), 1.0);
-}
-
-TEST(BatchedHostProfile, DefaultsMatchTiledDefaults) {
-  // Default tiling must equal the default scalar tiled profile — batched is
-  // the default host backend.
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(3000, 21);
-  const std::vector<double> want = kreg::window_cv_profile_tiled(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble);
-  const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov);
-  expect_bitwise_profiles(got, want);
-}
-
-TEST(BatchedHostProfile, RejectsBadGrid) {
-  const Dataset data = paper_data(32, 3);
-  const std::vector<double> bad_grid = {0.5, 0.5, 0.6};
-  EXPECT_THROW(kreg::window_cv_profile_batched(data, bad_grid,
-                                               KernelType::kEpanechnikov),
-               std::invalid_argument);
-}
-
 // --- device batched kernels: bitwise parity --------------------------------
 
 SpmdSelectorConfig device_cfg(std::size_t lane_width,
@@ -431,6 +295,150 @@ void expect_same_selection(const SelectionResult& got,
   for (std::size_t b = 0; b < want.scores.size(); ++b) {
     EXPECT_DOUBLE_EQ(got.scores[b], want.scores[b]) << "b=" << b;
   }
+}
+
+// --- host lane-batched profile: bitwise parity -----------------------------
+//
+// window_cv_profile_tiled runs every tile as lane batches of consecutive
+// rows and folds each bandwidth's rows in ascending order, so it must equal
+// the sequential scalar profile bit for bit on every pool. These cases hold
+// the lane batches' edges: ragged tails (n mod 8 ≠ 0), clustered X with
+// exact duplicates, both precisions and the higher moment terms. Tile
+// boundaries and k-blocks across every estimator are TiledPools' matrix
+// (knn_sweep_test).
+
+void expect_tiled_is_sequential(const Dataset& data,
+                                const std::vector<double>& grid,
+                                KernelType kernel, Precision precision) {
+  const std::vector<double> want =
+      kreg::window_cv_profile(data, grid, kernel, precision);
+  for (const std::size_t workers : {1, 2, 4}) {
+    kreg::parallel::ThreadPool pool(workers);
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    expect_bitwise_profiles(
+        kreg::window_cv_profile_tiled(data, grid, kernel, precision, &pool),
+        want);
+  }
+}
+
+TEST(BatchedHostProfile, BitwiseEqualsScalarSingleTile) {
+  for (const bool clustered : {false, true}) {
+    for (const std::size_t n : {64u, 203u, 517u}) {
+      const Dataset data = clustered ? lane_dataset(true, n, 42 + n)
+                                     : paper_data(n, 42 + n);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (clustered ? " clustered X" : " uniform X"));
+      expect_tiled_is_sequential(data, test_grid(), KernelType::kEpanechnikov,
+                                 Precision::kDouble);
+    }
+  }
+}
+
+TEST(BatchedHostProfile, BitwiseEqualsScalarFloat) {
+  expect_tiled_is_sequential(paper_data(301, 5), test_grid(),
+                             KernelType::kEpanechnikov, Precision::kFloat);
+}
+
+// The device's streamed tilings fold in the same order: the host tiled
+// profile equals every (n-block, k-block) plan of the device bit for bit.
+TEST(BatchedHostProfile, BitwiseEqualsTiledUnderStreamingTilings) {
+  const BandwidthGrid grid = BandwidthGrid::from_values(test_grid(37));
+  const Dataset data = paper_data(411, 9);
+  const std::vector<double> host = kreg::window_cv_profile_tiled(
+      data, grid.values(), KernelType::kEpanechnikov);
+  for (const std::size_t n_block : {64u, 128u}) {
+    for (const std::size_t k_block : {8u, 16u, 37u}) {
+      SpmdSelectorConfig cfg = device_cfg(kreg::kLaneWidth);
+      cfg.stream.n_block = n_block;
+      cfg.stream.k_block = k_block;
+      Device dev;
+      SCOPED_TRACE("n_block=" + std::to_string(n_block) +
+                   " k_block=" + std::to_string(k_block));
+      expect_bitwise_profiles(
+          SpmdGridSelector(dev, cfg).select(data, grid).scores, host);
+    }
+  }
+}
+
+// The triweight kernel exercises the higher moment terms (m up to 6).
+TEST(BatchedHostProfile, BitwiseParityTriweightKernel) {
+  expect_tiled_is_sequential(paper_data(222, 13), test_grid(),
+                             KernelType::kTriweight, Precision::kDouble);
+}
+
+// Tiny samples stress the batch machinery's edges: n < 8 (one batch with
+// padding lanes), n = 8 (exactly one full batch), and n = 8 + 1 (a
+// one-lane ragged tail) — for both precisions, where the contiguous-run
+// detector sees windows pinned against both array edges.
+TEST(BatchedHostProfile, TinyNBitwiseParity) {
+  for (const std::size_t n : {5u, 8u, 9u, 16u, 17u}) {
+    for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " float=" +
+                   std::to_string(precision == Precision::kFloat));
+      expect_tiled_is_sequential(paper_data(n, 100 + n), test_grid(16),
+                                 KernelType::kEpanechnikov, precision);
+    }
+  }
+}
+
+// A batch's lanes are consecutive sorted observations and admit from
+// overlapping index ranges, so the lane kernel's contiguous-run transpose
+// path must actually fire — and firing must not perturb a single bit of a
+// residual.
+TEST(BatchedHostProfile, ContigFastPathFiresAndStaysBitwise) {
+  constexpr std::size_t C = kreg::kLaneWidth;
+  const Dataset data = paper_data(1024, 77);
+  const auto sorted = kreg::sort_dataset<double>(data.x, data.y);
+  const std::span<const double> xs(sorted.x);
+  const std::span<const double> ys(sorted.y);
+  const std::vector<double> grid = test_grid();
+  const kreg::SweepPolynomial poly =
+      kreg::sweep_polynomial(KernelType::kEpanechnikov);
+  const std::size_t terms = poly.max_power + 1;
+  const std::size_t k = grid.size();
+  BatchRunStats stats;
+  for (std::size_t p0 = 0; p0 < xs.size(); p0 += C) {
+    kreg::detail::LaneBatch<double> batch;
+    batch.lanes = C;
+    for (std::size_t l = 0; l < C; ++l) {
+      batch.pos[l] = p0 + l;
+    }
+    kreg::detail::batch_seed(batch, xs, ys);
+    std::vector<double> got(C * k);
+    kreg::detail::batch_resume(
+        batch, xs, ys, std::span<const double>(grid), poly,
+        [&](std::size_t b, std::size_t l, double sq) { got[l * k + b] = sq; },
+        &stats);
+    for (std::size_t l = 0; l < C; ++l) {
+      std::size_t lo = 0;
+      std::size_t hi = 0;
+      double s_m[kreg::SweepPolynomial::kMaxPower + 1] = {};
+      double t_m[kreg::SweepPolynomial::kMaxPower + 1] = {};
+      kreg::detail::window_sweep_seed<double>(ys, p0 + l, lo, hi,
+                                              std::span(s_m, terms),
+                                              std::span(t_m, terms));
+      kreg::detail::window_sweep_resume<double>(
+          xs, ys, std::span<const double>(grid), poly, p0 + l, lo, hi,
+          std::span(s_m, terms), std::span(t_m, terms),
+          [&](std::size_t b, double sq) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[l * k + b]),
+                      std::bit_cast<std::uint64_t>(sq))
+                << "pos=" << p0 + l << " b=" << b;
+          });
+    }
+  }
+  EXPECT_GT(stats.contig_steps, 0u);
+  EXPECT_GT(stats.contig_steps + stats.gather_steps, 0u);
+  EXPECT_GE(stats.contig_rate(), 0.0);
+  EXPECT_LE(stats.contig_rate(), 1.0);
+}
+
+TEST(BatchedHostProfile, RejectsBadGrid) {
+  const Dataset data = paper_data(32, 3);
+  const std::vector<double> bad_grid = {0.5, 0.5, 0.6};
+  EXPECT_THROW(kreg::window_cv_profile_batched(data, bad_grid,
+                                               KernelType::kEpanechnikov),
+               std::invalid_argument);
 }
 
 // n = 700 with tpb = 512 gives a full block plus a ragged 188-row block, so

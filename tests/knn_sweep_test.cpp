@@ -2,10 +2,8 @@
 // reference, plus the bitwise contract across backends — the sequential
 // window sweep, the device path, and every streamed k-block plan must
 // reproduce the naive profile bit-for-bit (their per-k score folds run in
-// the same ascending observation order); the tiled profile regroups that
-// fold at tile boundaries, so it is held to 1e-12, to bitwise equality in
-// the one-tile-covers-n configuration, and — for the shared tiled driver
-// of every window estimator — to the same bits on every pool.
+// the same ascending observation order), and so must the tiled profile —
+// for the shared tiled driver of every window estimator, on every pool.
 //
 // Regenerating the golden arrays (only after an *intentional* numeric
 // change): evaluate knn_cv_profile_naive on
@@ -13,6 +11,7 @@
 // printing with %.17g.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -29,7 +28,6 @@
 namespace {
 
 using kreg::BandwidthGrid;
-using kreg::HostTiling;
 using kreg::KnnDeviceConfig;
 using kreg::Precision;
 using kreg::data::Dataset;
@@ -139,18 +137,9 @@ TEST_P(GoldenKnn, EveryBackendReproducesTheGoldenProfile) {
       kreg::knn_cv_profile_device(dev, data, gc.kgrid, streamed), naive,
       "spmd-k-block-3");
 
-  // Tolerance tier: tiled regroups the score fold.
-  expect_near_profile(kreg::knn_cv_profile_tiled(data, gc.kgrid),
-                      gc.expected, "tiled-auto");
-  expect_near_profile(
-      kreg::knn_cv_profile_tiled(data, gc.kgrid, Precision::kDouble,
-                                 HostTiling{7, 3}),
-      gc.expected, "tiled-7x3");
-  // One tile covering (n, |grid|) re-joins the bitwise tier.
-  expect_bitwise_profile(
-      kreg::knn_cv_profile_tiled(data, gc.kgrid, Precision::kDouble,
-                                 HostTiling{gc.n, gc.kgrid.size()}),
-      naive, "tiled-single-tile");
+  // The tiled profile folds every count's rows in the same order.
+  expect_bitwise_profile(kreg::knn_cv_profile_tiled(data, gc.kgrid), naive,
+                         "tiled");
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenKnn,
@@ -217,116 +206,80 @@ INSTANTIATE_TEST_SUITE_P(Precisions, KnnBitwise,
                                                                   : "Double";
                          });
 
-// The host's parallel profile is the tiled one with auto tiling on the
-// global pool: tolerance-equal to the sequential sweep, and the same bits
-// on every rerun.
+// The host's parallel profile is the tiled one on the global pool: the
+// sequential sweep's bits on every run.
 TEST(KnnParallel, DeterministicAndToleranceEqual) {
   const Dataset data = fixture(200);
   const std::vector<double> sequential =
       kreg::knn_cv_profile(data, kGridN200);
-  const std::vector<double> first =
-      kreg::knn_cv_profile_tiled(data, kGridN200);
-  expect_near_profile(first, sequential, "parallel-vs-sequential");
   for (int run = 0; run < 3; ++run) {
     expect_bitwise_profile(kreg::knn_cv_profile_tiled(data, kGridN200),
-                           first, "parallel-rerun");
+                           sequential, "parallel-vs-sequential");
   }
 }
 
-// The shared tiled driver combines tile partials in tile order, so the
-// kHostTiled backend promises the same bits on every pool (core/job.hpp;
-// the serve cache relies on it). Every window estimator, plus the
-// lane-batched NW profile, on pools of 1, 2 and 4 workers with tiles that
-// split both n and the grid.
+// Every window estimator's tiled profile folds each grid entry's rows in
+// ascending order, so the kHostTiled backend is the host sweep bit for bit
+// on every pool (core/job.hpp; the serve cache shares one entry across the
+// backends on it). n = 1, 9, 333 and 5,000 put zero, one and many tile
+// boundaries (64 rows each) inside the sample; k = 1, 17 and 130 cross the
+// 64-entry k-block. NW runs its lane batches in both precisions with every
+// sweepable kernel.
 TEST(TiledPools, SameBitsOnEveryPool) {
-  const auto data = std::make_shared<const Dataset>(fixture(200));
-  const BandwidthGrid grid = BandwidthGrid::default_for(*data, 12);
-  const HostTiling tiling{37, 3};
-  std::vector<kreg::SelectionJob> jobs(3);
-  jobs[0].estimator = kreg::EstimatorKind::kNadarayaWatson;
-  jobs[1].estimator = kreg::EstimatorKind::kKnn;
-  jobs[2].estimator = kreg::EstimatorKind::kOscv;
-  for (kreg::SelectionJob& job : jobs) {
-    job.data = data;
-    job.tiling = tiling;
-    if (job.estimator == kreg::EstimatorKind::kKnn) {
-      job.neighbor_grid.assign(kGridN200.begin(), kGridN200.end());
-    } else {
-      job.bandwidth_grid = grid.values();
-    }
+  std::vector<std::unique_ptr<kreg::parallel::ThreadPool>> pools;
+  for (const std::size_t workers : {1, 2, 4}) {
+    pools.push_back(std::make_unique<kreg::parallel::ThreadPool>(workers));
   }
-
-  const std::size_t workers[] = {1, 2, 4};
-  for (kreg::SelectionJob job : jobs) {
-    const std::string name(kreg::to_string(job.estimator));
-    job.backend = kreg::JobBackend::kHostSweep;
-    const std::vector<double> sequential = kreg::run_job(job, {}).scores;
-    job.backend = kreg::JobBackend::kHostTiled;
-    std::vector<double> first;
-    for (const std::size_t w : workers) {
-      kreg::parallel::ThreadPool pool(w);
-      std::vector<double> scores =
-          kreg::run_job(job, kreg::JobContext{nullptr, &pool}).scores;
-      if (first.empty()) {
-        first = std::move(scores);
-      } else {
-        expect_bitwise_profile(scores, first, (name + " pool").c_str());
+  for (const std::size_t n : {1, 9, 333, 5000}) {
+    const auto data = std::make_shared<const Dataset>(fixture(n));
+    for (const std::size_t k : {1, 17, 130}) {
+      std::vector<kreg::SelectionJob> jobs;
+      for (const Precision precision :
+           {Precision::kDouble, Precision::kFloat}) {
+        kreg::SelectionJob job;
+        job.data = data;
+        job.precision = precision;
+        // About 100 admissions per row at the widest bandwidth.
+        job.bandwidth_grid =
+            BandwidthGrid(0.002, std::min(0.4, 50.0 / static_cast<double>(n)),
+                          k)
+                .values();
+        for (const kreg::KernelType kernel : kreg::kAllKernels) {
+          if (kreg::is_sweepable(kernel)) {
+            job.kernel = kernel;
+            jobs.push_back(job);
+          }
+        }
+        job.kernel = kreg::KernelType::kEpanechnikov;
+        job.estimator = kreg::EstimatorKind::kOscv;
+        jobs.push_back(job);
+        if (n >= 2) {
+          job.estimator = kreg::EstimatorKind::kKnn;
+          job.bandwidth_grid.clear();
+          for (std::size_t count = 1; count <= std::min(k, n - 1); ++count) {
+            job.neighbor_grid.push_back(count);
+          }
+          jobs.push_back(job);
+        }
+      }
+      for (kreg::SelectionJob job : jobs) {
+        const std::string name =
+            std::string(kreg::to_string(job.estimator)) + " " +
+            std::string(kreg::to_string(job.kernel)) + " " +
+            std::string(kreg::to_string(job.precision)) + " n=" +
+            std::to_string(n) + " k=" + std::to_string(job.grid_size());
+        job.backend = kreg::JobBackend::kHostSweep;
+        const std::vector<double> sequential = kreg::run_job(job, {}).scores;
+        job.backend = kreg::JobBackend::kHostTiled;
+        for (const auto& pool : pools) {
+          expect_bitwise_profile(
+              kreg::run_job(job, kreg::JobContext{nullptr, pool.get()}).scores,
+              sequential,
+              (name + " workers=" + std::to_string(pool->size())).c_str());
+        }
       }
     }
-    expect_near_profile(first, sequential, (name + " vs host").c_str());
   }
-
-  const std::vector<double> sequential = kreg::window_cv_profile(
-      *data, grid.values(), kreg::KernelType::kEpanechnikov);
-  std::vector<double> first;
-  for (const std::size_t w : workers) {
-    kreg::parallel::ThreadPool pool(w);
-    std::vector<double> scores = kreg::window_cv_profile_batched(
-        *data, grid.values(), kreg::KernelType::kEpanechnikov,
-        Precision::kDouble, tiling, &pool);
-    if (first.empty()) {
-      first = std::move(scores);
-    } else {
-      expect_bitwise_profile(scores, first, "batched pool");
-    }
-  }
-  expect_near_profile(first, sequential, "batched vs host");
-}
-
-// Blocks beyond (n, |grid|) clamp to one tile: SIZE_MAX, which the CLI's
-// strtoul also makes of --n-block -1, once wrapped the tile count to zero
-// and returned an all-zero profile.
-TEST(TiledPools, HugeBlocksClampToOneTile) {
-  const Dataset data = fixture(200);
-  const BandwidthGrid grid = BandwidthGrid::default_for(data, 12);
-  const std::size_t n = data.size();
-  const std::size_t k = grid.size();
-  const HostTiling huge{SIZE_MAX, SIZE_MAX};
-  const HostTiling one{n, k};
-  const auto kernel = kreg::KernelType::kEpanechnikov;
-  expect_bitwise_profile(
-      kreg::window_cv_profile_tiled(data, grid.values(), kernel,
-                                    Precision::kDouble, huge),
-      kreg::window_cv_profile_tiled(data, grid.values(), kernel,
-                                    Precision::kDouble, one),
-      "nw tiled");
-  expect_bitwise_profile(
-      kreg::window_cv_profile_batched(data, grid.values(), kernel,
-                                      Precision::kDouble, huge),
-      kreg::window_cv_profile_batched(data, grid.values(), kernel,
-                                      Precision::kDouble, one),
-      "nw batched");
-  expect_bitwise_profile(
-      kreg::knn_cv_profile_tiled(data, kGridN200, Precision::kDouble, huge),
-      kreg::knn_cv_profile_tiled(data, kGridN200, Precision::kDouble,
-                                 HostTiling{n, kGridN200.size()}),
-      "knn tiled");
-  expect_bitwise_profile(
-      kreg::oscv_profile_tiled(data, grid.values(), kernel,
-                               Precision::kDouble, huge),
-      kreg::oscv_profile_tiled(data, grid.values(), kernel,
-                               Precision::kDouble, one),
-      "oscv tiled");
 }
 
 TEST(KnnEstimator, PermutationInvariantWithinTolerance) {

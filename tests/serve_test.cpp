@@ -200,9 +200,9 @@ TEST(CacheKeyTest, EstimatorKernelPrecisionDisambiguate) {
 
 TEST(CacheKeyTest, KnobsCollapseIntoBitwiseFamilies) {
   // Streaming/batching knobs never split the key (every plan they induce
-  // is bitwise identical), and backends collapse into numeric families:
-  // for every estimator the host sweep and the device share one family,
-  // and the host tiled profile (per-tile partials) is its own.
+  // is bitwise identical), and neither does the backend: for every
+  // estimator the host sweep, the host tiled profile and the device fold in
+  // the same order, so all three share one key.
   const auto data = make_data(96, 3);
   SelectionJob nw_device = make_job(data);
   auto knobs = nw_device;
@@ -218,29 +218,8 @@ TEST(CacheKeyTest, KnobsCollapseIntoBitwiseFamilies) {
     const SelectionJob tiled =
         make_job(data, estimator, JobBackend::kHostTiled);
     EXPECT_EQ(cache_key(device), cache_key(sweep));
-    EXPECT_NE(cache_key(tiled), cache_key(sweep));
-    EXPECT_EQ(cache_key(device).family, 0u);
-    EXPECT_EQ(cache_key(tiled).family, 1u);
+    EXPECT_EQ(cache_key(tiled), cache_key(sweep));
   }
-}
-
-TEST(CacheKeyTest, TiledKeyFollowsTheResolvedTileRows) {
-  // Tilings that split the observations alike share a key; the k-block
-  // never splits it.
-  const auto data = make_data(96, 3);
-  const SelectionJob auto_tiled =
-      make_job(data, EstimatorKind::kNadarayaWatson, JobBackend::kHostTiled);
-  EXPECT_EQ(cache_key(auto_tiled).tile_rows, 96u);  // 2,048 clamps to n
-  SelectionJob whole = auto_tiled;
-  whole.tiling = {1000, 5};
-  EXPECT_EQ(cache_key(whole), cache_key(auto_tiled));
-  SelectionJob small_tiles = auto_tiled;
-  small_tiles.tiling = {37, 3};
-  EXPECT_NE(cache_key(small_tiles), cache_key(auto_tiled));
-  SelectionJob other_k_block = small_tiles;
-  other_k_block.tiling.k_block = 7;
-  EXPECT_EQ(cache_key(other_k_block), cache_key(small_tiles));
-  EXPECT_EQ(cache_key(make_job(data)).tile_rows, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -641,6 +620,7 @@ TEST(JobStreamedBytes, GrowsWithResidentGridBlock) {
 SchedulerConfig deterministic_config() {
   SchedulerConfig config;
   config.deterministic = true;
+  config.record_events = true;
   return config;
 }
 
@@ -665,43 +645,55 @@ TEST(SchedulerTest, MatchesDirectRunJobAcrossEstimatorsAndBackends) {
           << " backend=" << static_cast<int>(backend);
     }
   }
-  // Across the 3×3 sweep one miss per bitwise family: every estimator
-  // misses on the host sweep and on the tiled profile (its own family),
-  // and its device job hits the host sweep's entry.
-  EXPECT_EQ(scheduler.stats().cache_misses, 6u);
-  EXPECT_EQ(scheduler.stats().cache_hits, 3u);
+  // Across the 3×3 sweep one miss per estimator: the host sweep misses,
+  // and the tiled and device jobs hit its entry.
+  EXPECT_EQ(scheduler.stats().cache_misses, 3u);
+  EXPECT_EQ(scheduler.stats().cache_hits, 6u);
 }
 
-TEST(SchedulerTest, TiledMissesAndDeviceHitsTheHostEntryAtFiveThousand) {
-  // At n = 5,000 the tiled profile's auto tiling (2,048 rows) makes three
-  // tiles, so its bits differ from the host sweep's, and a {37, 3} tiling
-  // splits them apart again, while the device profile is bitwise the host
-  // sweep. Served host, tiled, {37, 3}-tiled, then device, each outcome
-  // must be bitwise its direct run_job: both tiled jobs miss and the
-  // device job hits the host entry.
+TEST(SchedulerTest, TiledAndDeviceHitTheHostEntryAtFiveThousand) {
+  // At n = 5,000 the tiled profile runs 79 tiles of 64 rows, and the device
+  // profile one 5,000-row launch; both fold every grid entry in ascending
+  // observation order, so both are the host sweep bit for bit. Served
+  // host, tiled, then device, each outcome must be bitwise its direct
+  // run_job, and the tiled and device jobs hit the host entry.
   const auto data = make_data(5000, 19);
   Scheduler scheduler(deterministic_config());
   for (const EstimatorKind estimator :
        {EstimatorKind::kNadarayaWatson, EstimatorKind::kKnn,
         EstimatorKind::kOscv}) {
-    SelectionJob small_tiles =
-        make_job(data, estimator, JobBackend::kHostTiled);
-    small_tiles.tiling = {37, 3};
-    for (const SelectionJob& job :
-         {make_job(data, estimator, JobBackend::kHostSweep),
-          make_job(data, estimator, JobBackend::kHostTiled), small_tiles,
-          make_job(data, estimator, JobBackend::kDevice)}) {
+    for (const JobBackend backend :
+         {JobBackend::kHostSweep, JobBackend::kHostTiled,
+          JobBackend::kDevice}) {
+      const SelectionJob job = make_job(data, estimator, backend);
       SCOPED_TRACE("estimator=" + std::to_string(static_cast<int>(estimator)) +
-                   " backend=" + std::to_string(static_cast<int>(job.backend)) +
-                   " n_block=" + std::to_string(job.tiling.n_block));
+                   " backend=" + std::to_string(static_cast<int>(backend)));
       auto future = scheduler.submit(job);
       scheduler.drain();
       const JobOutcome outcome = future.get();
       ASSERT_TRUE(outcome.ok) << outcome.error;
       expect_profiles_bitwise(outcome.profile, direct_run(job));
-      EXPECT_EQ(outcome.cache_hit, job.backend == JobBackend::kDevice);
+      EXPECT_EQ(outcome.cache_hit, backend != JobBackend::kHostSweep);
     }
   }
+}
+
+TEST(SchedulerTest, DefaultConfigKeepsNoEventLog) {
+  // A daemon serves for its whole life: by default the scheduler records
+  // no decision events, so nothing grows with the requests served.
+  const auto data = make_data(96, 7);
+  SchedulerConfig config;
+  config.deterministic = true;
+  Scheduler scheduler(config);
+  for (const JobBackend backend :
+       {JobBackend::kHostSweep, JobBackend::kHostTiled, JobBackend::kDevice}) {
+    auto future = scheduler.submit(
+        make_job(data, EstimatorKind::kNadarayaWatson, backend));
+    scheduler.drain();
+    EXPECT_TRUE(future.get().ok);
+  }
+  EXPECT_EQ(scheduler.stats().cache_hits, 2u);
+  EXPECT_TRUE(scheduler.events().empty());
 }
 
 TEST(SchedulerTest, CacheHitEventSequenceExact) {
@@ -724,7 +716,7 @@ TEST(SchedulerTest, CacheHitEventSequenceExact) {
 }
 
 TEST(SchedulerTest, CacheHitServesRequestersBackendMethod) {
-  // OSCV is bitwise identical on every backend (one cache family), so a
+  // OSCV is bitwise identical on every backend (one cache entry), so a
   // host request can legitimately be served from a device-populated entry.
   const auto data = make_data(96, 6);
   Scheduler scheduler(deterministic_config());
@@ -1017,6 +1009,7 @@ TEST(SchedulerTest, ThreadedExecutorMatchesDeterministicDecisions) {
   SchedulerConfig threaded_config;
   threaded_config.deterministic = false;
   threaded_config.workers = 4;
+  threaded_config.record_events = true;
   Scheduler threaded(threaded_config);
   auto det_futures = submit_all(deterministic);
   auto thr_futures = submit_all(threaded);
@@ -1046,6 +1039,7 @@ TEST(SchedulerTest, ThreadedExecutorMatchesDeterministicDecisions) {
 SchedulerConfig pumpable_config() {
   SchedulerConfig config;
   config.deterministic = true;  // pump drains inline, still deterministic
+  config.record_events = true;
   return config;
 }
 

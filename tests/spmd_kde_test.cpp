@@ -1,7 +1,9 @@
 // Tests for the device KDE selector and KDE confidence bands.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/grid.hpp"
 #include "core/kde.hpp"
@@ -85,12 +87,29 @@ TEST(SpmdKde, RejectsUnsupportedKernelAndTinySamples) {
   EXPECT_THROW(SpmdKdeSelector(dev).select(one, grid), std::invalid_argument);
 }
 
+// The resident plan (auto_tune = false) keeps the constant cap. The
+// default plan streams past it in k-blocks of 1,024 doubles and folds in
+// the same order as any other plan: bitwise an explicit k-block plan's.
 TEST(SpmdKde, ConstantCapAppliesToDoubles) {
   Device dev;
-  const auto xs = sample(64, 94);
-  const BandwidthGrid grid(1e-4, 1.0, 1025);  // 1025 doubles > 8 KB
-  EXPECT_THROW(SpmdKdeSelector(dev).select(xs, grid),
-               kreg::spmd::ConstantCapacityError);
+  const auto xs = sample(300, 94);
+  for (const std::size_t k : {1025, 2000}) {  // 1025 doubles > 8 KB
+    const BandwidthGrid grid(1e-4, 1.0, k);
+    SpmdKdeConfig resident;
+    resident.stream.auto_tune = false;
+    EXPECT_THROW(SpmdKdeSelector(dev, resident).select(xs, grid),
+                 kreg::spmd::ConstantCapacityError);
+    SpmdKdeConfig k_blocks;
+    k_blocks.stream.k_block = 7;
+    const auto want = SpmdKdeSelector(dev, k_blocks).select(xs, grid);
+    const auto got = SpmdKdeSelector(dev).select(xs, grid);
+    ASSERT_EQ(got.scores.size(), want.scores.size());
+    for (std::size_t b = 0; b < k; ++b) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.scores[b]),
+                std::bit_cast<std::uint64_t>(want.scores[b]))
+          << "k=" << k << " b=" << b;
+    }
+  }
 }
 
 TEST(SpmdKde, MemoryReleasedAfterSelect) {

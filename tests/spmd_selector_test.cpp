@@ -320,12 +320,15 @@ TEST(SpmdSelector, StreamingModeLiftsTheLimit) {
   EXPECT_NO_THROW(SpmdGridSelector(dev, cfg).select(big, grid));
 }
 
+// The paper's resident plan (auto_tune = false) uploads the whole grid:
+// 2049 float bandwidths exceed the 8 KB constant working set. (The default
+// auto plan streams past it in k-blocks of 2,048.)
 TEST(SpmdSelector, ConstantCacheCapsBandwidthCount) {
   Device dev;
   const Dataset d = paper_data(64, 10);
-  // 2049 float bandwidths exceed the 8 KB constant working set.
   const BandwidthGrid grid(1e-4, 1.0, 2049);
   SpmdSelectorConfig cfg;
+  cfg.stream.auto_tune = false;
   EXPECT_THROW(SpmdGridSelector(dev, cfg).select(d, grid),
                kreg::spmd::ConstantCapacityError);
 }
@@ -334,7 +337,9 @@ TEST(SpmdSelector, DevicePrecisionHalvesConstantCapacity) {
   Device dev;
   const Dataset d = paper_data(64, 11);
   const BandwidthGrid grid(1e-4, 1.0, 1025);
-  EXPECT_THROW(SpmdGridSelector(dev, double_cfg()).select(d, grid),
+  SpmdSelectorConfig cfg = double_cfg();
+  cfg.stream.auto_tune = false;
+  EXPECT_THROW(SpmdGridSelector(dev, cfg).select(d, grid),
                kreg::spmd::ConstantCapacityError);
 }
 

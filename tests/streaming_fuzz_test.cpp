@@ -34,7 +34,6 @@
 namespace {
 
 using kreg::BandwidthGrid;
-using kreg::HostTiling;
 using kreg::KernelType;
 using kreg::MultiDeviceGridSelector;
 using kreg::Precision;
@@ -144,18 +143,17 @@ TEST(StreamingFuzz, RegressionStreamedResidentHostAgree) {
         SpmdGridSelector(dev, cfg).select(data, grid);
     expect_bitwise(streamed, resident, "streamed-vs-resident");
 
-    // Host cross-checks are tolerance-based: the device reduction tree and
-    // the sequential host fold group the same addends differently.
+    // Host cross-checks: the tiled host profile folds in the sequential
+    // sweep's order, so it is the host sweep bit for bit.
     const std::vector<double> host = kreg::window_cv_profile(
         data, grid.values(), cfg.kernel, fz.precision);
     const std::vector<double> tiled = kreg::window_cv_profile_tiled(
-        data, grid.values(), cfg.kernel, fz.precision,
-        HostTiling{fz.n_block, fz.k_block});
+        data, grid.values(), cfg.kernel, fz.precision);
     const double tol = fz.precision == Precision::kFloat ? 1e-3 : 1e-9;
     for (std::size_t b = 0; b < grid.size(); ++b) {
       const double scale = std::max(1.0, std::abs(host[b]));
       EXPECT_NEAR(streamed.scores[b], host[b], tol * scale) << "host b=" << b;
-      EXPECT_NEAR(tiled[b], host[b], tol * scale) << "tiled b=" << b;
+      EXPECT_EQ(tiled[b], host[b]) << "tiled b=" << b;
     }
   }
 }

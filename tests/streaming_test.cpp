@@ -32,7 +32,6 @@
 namespace {
 
 using kreg::BandwidthGrid;
-using kreg::HostTiling;
 using kreg::KernelType;
 using kreg::MultiDeviceGridSelector;
 using kreg::Precision;
@@ -1102,10 +1101,12 @@ TEST(DeviceScoreOrder, EveryNwPlanShardAndLaneWidthIsTheHostSweepBitwise) {
   // every device profile is window_cv_profile bit for bit. k = 2,000 at
   // n = 1,000 is Table II's widest grid: two 512-thread blocks, which the
   // device splits across workers (n = 1,001 adds a one-lane batch). In
-  // double that grid exceeds the constant cache unless it streams.
+  // double that grid exceeds the constant cache: the resident plan throws,
+  // and the default plan streams it in k-blocks of 1,024.
   const StreamingConfig resident{0, 0, 0, false};
   const StreamingConfig k_blocks{3, 0, 0, true};
   const StreamingConfig tiles{5, 37, 0, true};
+  const StreamingConfig auto_plan{};
   const std::size_t constant_bytes =
       DeviceProperties::tesla_s10().constant_cache_bytes;
   for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{1, 17},
@@ -1121,7 +1122,8 @@ TEST(DeviceScoreOrder, EveryNwPlanShardAndLaneWidthIsTheHostSweepBitwise) {
       const std::size_t grid_bytes =
           k * (precision == Precision::kFloat ? sizeof(float) : sizeof(double));
       for (const std::size_t width : {std::size_t{1}, kreg::kLaneWidth}) {
-        for (const StreamingConfig& stream : {resident, k_blocks, tiles}) {
+        for (const StreamingConfig& stream :
+             {resident, k_blocks, tiles, auto_plan}) {
           SpmdSelectorConfig cfg;
           cfg.precision = precision;
           cfg.lane_width = width;
@@ -1130,9 +1132,10 @@ TEST(DeviceScoreOrder, EveryNwPlanShardAndLaneWidthIsTheHostSweepBitwise) {
                        " " + std::string(kreg::to_string(precision)) +
                        " lanes=" + std::to_string(width) +
                        " k_block=" + std::to_string(stream.k_block) +
-                       " n_block=" + std::to_string(stream.n_block));
+                       " n_block=" + std::to_string(stream.n_block) +
+                       " auto=" + std::to_string(stream.auto_tune));
           Device dev;
-          if (stream.k_block == 0 && grid_bytes > constant_bytes) {
+          if (!stream.auto_tune && grid_bytes > constant_bytes) {
             EXPECT_THROW(SpmdGridSelector(dev, cfg).select(d, grid),
                          kreg::spmd::ConstantCapacityError);
             continue;
@@ -1181,34 +1184,22 @@ TEST(DeviceScoreOrder, KdeResidentKBlockAndTiledProfilesAreBitwiseEqual) {
   }
 }
 
-// --- cache-blocked host kernel ---------------------------------------------
+// --- host tiled profile -----------------------------------------------------
 
+// The tiled profile folds each bandwidth's rows in ascending order, so it
+// is window_cv_profile bit for bit: n = 333 spans six 64-row tiles and
+// k = 130 three 64-entry k-blocks.
 TEST(TiledHostProfile, MatchesWindowProfileAcrossTilings) {
   const Dataset d = paper_data(333, 27);
-  const BandwidthGrid grid = BandwidthGrid::default_for(d, 21);
-  const std::vector<double> reference =
-      kreg::window_cv_profile(d, grid.values(), KernelType::kEpanechnikov);
-
-  // Tiles visit observations in ascending order but round their partial
-  // sums independently before combining, so agreement is up to summation
-  // regrouping — exact only when one tile covers the whole dataset.
-  for (const HostTiling tiling :
-       {HostTiling{}, HostTiling{7, 3}, HostTiling{1, 1},
-        HostTiling{1000, 64}}) {
+  for (const std::size_t k : {21, 64, 130}) {
+    const BandwidthGrid grid = BandwidthGrid::default_for(d, k);
+    const std::vector<double> reference =
+        kreg::window_cv_profile(d, grid.values(), KernelType::kEpanechnikov);
     const std::vector<double> tiled = kreg::window_cv_profile_tiled(
-        d, grid.values(), KernelType::kEpanechnikov, Precision::kDouble,
-        tiling);
+        d, grid.values(), KernelType::kEpanechnikov);
     ASSERT_EQ(tiled.size(), reference.size());
     for (std::size_t b = 0; b < reference.size(); ++b) {
-      if (tiling.n_block >= d.size()) {
-        EXPECT_DOUBLE_EQ(tiled[b], reference[b])
-            << "n_block=" << tiling.n_block << " b=" << b;
-      } else {
-        EXPECT_NEAR(tiled[b], reference[b],
-                    1e-12 * std::max(1.0, std::abs(reference[b])))
-            << "n_block=" << tiling.n_block << " k_block=" << tiling.k_block
-            << " b=" << b;
-      }
+      EXPECT_TRUE(same_bits(tiled[b], reference[b])) << "k=" << k << " b=" << b;
     }
   }
 }
@@ -1219,32 +1210,26 @@ TEST(TiledHostProfile, FloatPrecisionMatchesFloatWindowProfile) {
   const std::vector<double> reference = kreg::window_cv_profile(
       d, grid.values(), KernelType::kEpanechnikov, Precision::kFloat);
   const std::vector<double> tiled = kreg::window_cv_profile_tiled(
-      d, grid.values(), KernelType::kEpanechnikov, Precision::kFloat,
-      HostTiling{64, 4});
+      d, grid.values(), KernelType::kEpanechnikov, Precision::kFloat);
   for (std::size_t b = 0; b < reference.size(); ++b) {
-    EXPECT_NEAR(tiled[b], reference[b],
-                1e-12 * std::max(1.0, std::abs(reference[b])))
-        << "b=" << b;
+    EXPECT_TRUE(same_bits(tiled[b], reference[b])) << "b=" << b;
   }
 }
 
 TEST(TiledHostProfile, OtherSweepableKernelsAgree) {
   const Dataset d = paper_data(150, 29);
   const BandwidthGrid grid = BandwidthGrid::default_for(d, 8);
-  for (const KernelType kernel :
-       {KernelType::kUniform, KernelType::kTriangular,
-        KernelType::kEpanechnikov}) {
+  for (const KernelType kernel : kreg::kAllKernels) {
     if (!kreg::is_sweepable(kernel)) {
       continue;
     }
     const std::vector<double> reference =
         kreg::window_cv_profile(d, grid.values(), kernel);
-    const std::vector<double> tiled = kreg::window_cv_profile_tiled(
-        d, grid.values(), kernel, Precision::kDouble, HostTiling{32, 3});
+    const std::vector<double> tiled =
+        kreg::window_cv_profile_tiled(d, grid.values(), kernel);
     for (std::size_t b = 0; b < reference.size(); ++b) {
-      EXPECT_NEAR(tiled[b], reference[b],
-                  1e-12 * std::max(1.0, std::abs(reference[b])))
-          << "b=" << b;
+      EXPECT_TRUE(same_bits(tiled[b], reference[b]))
+          << kreg::to_string(kernel) << " b=" << b;
     }
   }
 }
