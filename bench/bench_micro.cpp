@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the performance-critical primitives:
-// the iterative quicksort (plain and with payload), the device reductions,
+// the iterative quicksort (plain and with payload), the global radix
+// argsort, the device reductions,
 // the naive CV objective, and the per-observation sorted sweep.
 #include <benchmark/benchmark.h>
 
@@ -7,6 +8,8 @@
 #include <vector>
 
 #include "core/kreg.hpp"
+#include "parallel/thread_pool.hpp"
+#include "sort/argsort.hpp"
 #include "sort/introsort.hpp"
 #include "sort/iterative_quicksort.hpp"
 #include "spmd/device.hpp"
@@ -47,6 +50,36 @@ void BM_IterativeQuicksortKv(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_IterativeQuicksortKv)->Range(1 << 8, 1 << 15)->Complexity();
+
+// The global argsort with a tie key and a one-column gather, the shape of
+// sort_dataset: range(1) = 1 runs it on a 1-worker pool, 0 on the global
+// pool. Up to sort::kRadixGrain rows both run inline.
+void BM_RadixArgsort(benchmark::State& state) {
+  const auto keys = random_values(state.range(0), 5);
+  const auto ties = random_values(state.range(0), 6);
+  kreg::parallel::ThreadPool one(1);
+  kreg::parallel::ThreadPool* pool = state.range(1) == 1 ? &one : nullptr;
+  std::vector<double> gathered(keys.size());
+  for (auto _ : state) {
+    const kreg::sort::Ordering order = kreg::sort::argsort(
+        std::span<const double>(keys),
+        [&](std::size_t a, std::size_t b) {
+          return kreg::sort::ordered_bits(ties[a]) <
+                 kreg::sort::ordered_bits(ties[b]);
+        },
+        pool);
+    order.for_each([&](std::size_t p, std::size_t row) {
+      gathered[p] = ties[row];
+    });
+    benchmark::DoNotOptimize(gathered.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_RadixArgsort)
+    ->ArgsProduct({{1 << 11, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 20}, {1, 0}})
+    ->ArgNames({"n", "one_worker"})
+    ->UseRealTime();
 
 void BM_Introsort(benchmark::State& state) {
   const auto base = random_values(state.range(0), 4);

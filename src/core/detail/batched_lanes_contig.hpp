@@ -50,11 +50,13 @@ struct ContigRun {
 /// [min_base − s, min_base − s + W) so s is capped by min_base; right runs
 /// read [min_base + s, min_base + s + W) so s is capped by n − W −
 /// min_base. Both need min_base + W ≤ n at s = 0. Lanes with cnt ≤ 0 are
-/// ignored (their bases may be stale or −1).
-inline ContigRun detect_contig_run(const std::int64_t* cnt,
-                                   const std::int64_t* base,
-                                   std::size_t lanes, std::size_t max_cnt,
-                                   std::size_t n, bool left) {
+/// ignored (their bases may be stale or −1). Always inlined: GCC outlined
+/// it from the lane kernels once their translation units grew (the global
+/// radix sort in window_sweep.cpp, the fold's span path in
+/// spmd_selector.cpp), and the call in the phase loop halved paper-wide-k.
+[[gnu::always_inline]] inline ContigRun detect_contig_run(
+    const std::int64_t* cnt, const std::int64_t* base, std::size_t lanes,
+    std::size_t max_cnt, std::size_t n, bool left) {
   ContigRun run;
   for (std::size_t l = 0; l < lanes; ++l) {
     if (cnt[l] <= 0) {

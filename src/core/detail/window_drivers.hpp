@@ -433,10 +433,19 @@ void device_window_totals(spmd::Device& device, const Pass& pass,
         for (std::size_t j = 0; j < width; ++j) {
           total[j] = scores[b1 + j];
         }
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t j = 0; j < width; ++j) {
-            total[j] += static_cast<double>(resid[r * kb + b1 + j]);
+        const auto fold = [&](const auto& block) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t j = 0; j < width; ++j) {
+              total[j] += static_cast<double>(block[r * kb + b1 + j]);
+            }
           }
+        };
+        // Without a sanitizer the checked view only asserts, so the fold
+        // reads the block as a plain span; with one, every read is checked.
+        if (resid.shadow() == nullptr) {
+          fold(std::span<const Scalar>(resid.data(), resid.size()));
+        } else {
+          fold(resid);
         }
         for (std::size_t j = 0; j < width; ++j) {
           scores[b1 + j] = total[j];

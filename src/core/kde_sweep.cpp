@@ -9,6 +9,7 @@
 #include "core/selectors.hpp"
 #include "core/validate_grid.hpp"
 #include "parallel/parallel_for.hpp"
+#include "sort/argsort.hpp"
 #include "sort/introsort.hpp"
 
 namespace kreg {
@@ -140,8 +141,7 @@ std::vector<double> kde_window_lscv_profile(std::span<const double> xs,
                                             KernelType kernel) {
   check_inputs(xs, grid, kernel);
   // One global sort; every observation's windows index into it.
-  std::vector<double> sorted_x(xs.begin(), xs.end());
-  sort::introsort(std::span<double>(sorted_x));
+  const std::vector<double> sorted_x = sort::sorted_keys(xs);
   const detail::KdeWindow sweep{sorted_x, detail::kde_kernel_poly(kernel),
                                 detail::kde_convolution_poly(kernel)};
 

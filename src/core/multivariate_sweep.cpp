@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/validate_grid.hpp"
 #include "parallel/parallel_for.hpp"
@@ -166,6 +168,8 @@ void sweep_observation_ray(const data::MDataset& data, const RayContext& ctx,
 /// The ray's observations re-ordered by the scaled first coordinate
 /// z = x_0 / r_0 — the one global sort the window sweep needs per ray.
 /// Rows and Y are permuted alongside so the sweep reads them contiguously.
+/// Rows with equal z follow their coordinates, then Y, so the sorted arrays
+/// depend on the sample and not on its row order.
 struct RaySorted {
   std::vector<double> z;  ///< x_0 / r_0, ascending
   std::vector<double> x;  ///< row-major n × dim, permuted like z
@@ -180,19 +184,27 @@ RaySorted sort_ray_dataset(const data::MDataset& data,
   for (std::size_t l = 0; l < n; ++l) {
     z[l] = data.x[l * dim] / ratios[0];
   }
-  const std::vector<std::size_t> perm = sort::argsort<double>(z);
+  sort::Ordering order =
+      sort::argsort(z, [&data, dim](std::size_t a, std::size_t b) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          const std::uint64_t ka = sort::ordered_bits(data.x[a * dim + j]);
+          const std::uint64_t kb = sort::ordered_bits(data.x[b * dim + j]);
+          if (ka != kb) {
+            return ka < kb;
+          }
+        }
+        return sort::ordered_bits(data.y[a]) < sort::ordered_bits(data.y[b]);
+      });
   RaySorted sorted;
-  sorted.z.resize(n);
   sorted.x.resize(n * dim);
   sorted.y.resize(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t l = perm[p];
-    sorted.z[p] = z[l];
+  order.for_each([&](std::size_t p, std::size_t l) {
     sorted.y[p] = data.y[l];
     for (std::size_t j = 0; j < dim; ++j) {
       sorted.x[p * dim + j] = data.x[l * dim + j];
     }
-  }
+  });
+  sorted.z = std::move(order).take_keys();
   return sorted;
 }
 

@@ -11,7 +11,7 @@
 #include "core/detail/window_drivers.hpp"
 #include "core/detail/window_policy.hpp"
 #include "core/selectors.hpp"
-#include "sort/introsort.hpp"
+#include "sort/argsort.hpp"
 #include "sort/iterative_quicksort.hpp"
 
 namespace kreg {
@@ -67,8 +67,7 @@ SelectionResult SpmdKdeSelector::select(std::span<const double> xs,
     // nothing. Each thread's two pair sums combine into its LSCV partial,
     // and the device window driver folds the partials per bandwidth; the
     // halo reach is the wider window's admission at h_max.
-    std::vector<double> sorted_x(xs.begin(), xs.end());
-    sort::introsort(std::span<double>(sorted_x));
+    const std::vector<double> sorted_x = sort::sorted_keys(xs);
     const detail::KdeWindow sweep{sorted_x, kpoly, cpoly};
     const double reach =
         std::max(kpoly.support_scale, cpoly.support_scale) * grid[k - 1];

@@ -4,6 +4,8 @@
 #include <array>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "core/batched_sweep.hpp"
 #include "core/detail/batched_lanes.hpp"
@@ -17,19 +19,26 @@ namespace kreg {
 template <class Scalar>
 SortedDataset<Scalar> sort_dataset(std::span<const double> x,
                                    std::span<const double> y) {
-  // One permutation, two indexed gathers. resize + direct stores keep the
-  // gather loops free of capacity checks (push_back re-tests capacity per
-  // element), and this runs on every sweep call.
-  const std::vector<std::size_t> perm = sort::argsort<double>(x);
-  const std::size_t n = x.size();
+  // Rows with equal X follow Y, so only identical pairs keep an order of
+  // their own, and the row order of the sample cannot reach the columns.
+  sort::Ordering order =
+      sort::argsort(x, [y](std::size_t a, std::size_t b) {
+        return sort::ordered_bits(y[a]) < sort::ordered_bits(y[b]);
+      });
   SortedDataset<Scalar> sorted;
-  sorted.x.resize(n);
-  sorted.y.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sorted.x[i] = static_cast<Scalar>(x[perm[i]]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    sorted.y[i] = static_cast<Scalar>(y[perm[i]]);
+  sorted.y.resize(x.size());
+  if constexpr (std::is_same_v<Scalar, double>) {
+    order.for_each([&](std::size_t p, std::size_t row) {
+      sorted.y[p] = y[row];
+    });
+    sorted.x = std::move(order).take_keys();
+  } else {
+    sorted.x.resize(x.size());
+    const std::span<const double> keys = order.keys();
+    order.for_each([&](std::size_t p, std::size_t row) {
+      sorted.x[p] = static_cast<Scalar>(keys[p]);
+      sorted.y[p] = static_cast<Scalar>(y[row]);
+    });
   }
   return sorted;
 }

@@ -24,22 +24,26 @@ namespace kreg {
 /// S_m = Σ|d|^m, T_m = ΣY·|d|^m that the `SweepPolynomial` recombination
 /// turns into every bandwidth's LOO numerator/denominator.
 ///
-/// Total work: O(n log n) for the one global sort plus O(n·(k + admitted))
-/// for the sweeps, with O(n) extra memory — versus O(n² log n) time and an
+/// Total work: one linear-time radix sort plus O(n·(k + admitted)) for the
+/// sweeps, with O(n) extra memory — versus O(n² log n) time and an
 /// O(n) private row per worker for the per-row-sort paths. The per-row path
 /// remains available (`SortedGridSelector`) as the paper-faithful ablation
 /// baseline.
 
-/// (X, Y) sorted ascending by X — the shared input of every window-sweep
-/// profile. Built once per selection with the argsort in `src/sort/`;
-/// reusable across grids and kernels for the same dataset.
+/// (X, Y) sorted ascending by X, rows with equal X ascending by Y — the
+/// shared input of every window-sweep profile. Built once per selection
+/// with the argsort in `src/sort/`; reusable across grids and kernels for
+/// the same dataset.
 template <class Scalar>
 struct SortedDataset {
   std::vector<Scalar> x;  ///< X ascending
   std::vector<Scalar> y;  ///< Y permuted alongside X
 };
 
-/// Sorts (X, Y) by X. O(n log n); the only super-linear step of the sweep.
+/// Sorts (X, Y) by X, breaking ties by Y, so the columns depend on the
+/// sample and not on its row order: sort::argsort, an LSD radix sort on the
+/// global pool (inline up to sort::kRadixGrain rows), whose last step
+/// gathers both columns.
 template <class Scalar>
 SortedDataset<Scalar> sort_dataset(std::span<const double> x,
                                    std::span<const double> y);

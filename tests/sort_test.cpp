@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <ostream>
 #include <span>
 #include <vector>
 
+#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/stream.hpp"
 #include "sort/argsort.hpp"
 #include "sort/checks.hpp"
@@ -286,10 +293,99 @@ TEST(PartitionKeys, MatchesKvOnKeys) {
 
 // ---- argsort ---------------------------------------------------------------
 
+// The argsort's order under the same comparator: (key, tie) bits ascending,
+// gathered into (key, tie) columns so identical pairs compare equal.
+struct Columns {
+  std::vector<double> keys;
+  std::vector<double> ties;
+};
+
+Columns std_sort_columns(const std::vector<double>& keys,
+                         const std::vector<double>& ties) {
+  std::vector<std::size_t> rows(keys.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  std::sort(rows.begin(), rows.end(), [&](std::size_t a, std::size_t b) {
+    const auto ka = kreg::sort::ordered_bits(keys[a]);
+    const auto kb = kreg::sort::ordered_bits(keys[b]);
+    if (ka != kb) {
+      return ka < kb;
+    }
+    return kreg::sort::ordered_bits(ties[a]) < kreg::sort::ordered_bits(ties[b]);
+  });
+  Columns out;
+  for (const std::size_t row : rows) {
+    out.keys.push_back(keys[row]);
+    out.ties.push_back(ties[row]);
+  }
+  return out;
+}
+
+Columns argsort_columns(const std::vector<double>& keys,
+                        const std::vector<double>& ties,
+                        kreg::parallel::ThreadPool* pool = nullptr) {
+  const kreg::sort::Ordering order = kreg::sort::argsort(
+      std::span<const double>(keys),
+      [&](std::size_t a, std::size_t b) {
+        return kreg::sort::ordered_bits(ties[a]) <
+               kreg::sort::ordered_bits(ties[b]);
+      },
+      pool);
+  Columns out{std::vector<double>(keys.size()),
+              std::vector<double>(keys.size())};
+  order.for_each([&](std::size_t p, std::size_t row) {
+    out.keys[p] = keys[row];
+    out.ties[p] = ties[row];
+  });
+  for (std::size_t p = 0; p < keys.size(); ++p) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(order.keys()[p]),
+              std::bit_cast<std::uint64_t>(out.keys[p]))
+        << "keys()[" << p << "] is not the key of the row gathered at " << p;
+  }
+  return out;
+}
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+void expect_matches_std_sort(const std::vector<double>& keys,
+                             const std::vector<double>& ties,
+                             kreg::parallel::ThreadPool* pool = nullptr) {
+  const Columns got = argsort_columns(keys, ties, pool);
+  const Columns want = std_sort_columns(keys, ties);
+  expect_same_bits(got.keys, want.keys, "keys");
+  expect_same_bits(got.ties, want.ties, "ties");
+  expect_same_bits(kreg::sort::sorted_keys(keys, pool), want.keys,
+                   "sorted_keys");
+}
+
+// Keys on a coarse lattice (heavy ties) with independent tie-breakers.
+std::vector<double> lattice(std::size_t n, std::uint64_t seed, double step) {
+  std::vector<double> v = random_doubles(n, seed);
+  for (double& x : v) {
+    x = std::round(x / step) * step;
+  }
+  return v;
+}
+
 TEST(Argsort, ProducesSortingPermutation) {
   std::vector<double> keys = random_doubles(321, 9);
-  const auto perm = kreg::sort::argsort(std::span<const double>(keys));
-  ASSERT_EQ(perm.size(), keys.size());
+  const auto order = kreg::sort::argsort(
+      std::span<const double>(keys), [](std::size_t, std::size_t) {
+        return false;
+      });
+  ASSERT_EQ(order.size(), keys.size());
+  std::vector<std::size_t> perm(keys.size());
+  order.for_each([&](std::size_t p, std::size_t row) { perm[p] = row; });
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    EXPECT_EQ(order.keys()[p], keys[perm[p]]);
+  }
   for (std::size_t i = 1; i < perm.size(); ++i) {
     EXPECT_LE(keys[perm[i - 1]], keys[perm[i]]);
   }
@@ -302,16 +398,186 @@ TEST(Argsort, ProducesSortingPermutation) {
 }
 
 TEST(Argsort, ApplyPermutationRoundTrip) {
+  // The gather (for_each) applies the permutation to a second column.
   std::vector<double> keys = random_doubles(64, 10);
-  const auto perm = kreg::sort::argsort(std::span<const double>(keys));
-  const auto sorted =
-      kreg::sort::apply_permutation(std::span<const double>(keys), perm);
+  std::vector<double> negated(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    negated[i] = -keys[i];
+  }
+  const auto order = kreg::sort::argsort(
+      std::span<const double>(keys),
+      [](std::size_t, std::size_t) { return false; });
+  std::vector<double> sorted(keys.size());
+  std::vector<double> sorted_negated(keys.size());
+  order.for_each([&](std::size_t p, std::size_t row) {
+    sorted[p] = keys[row];
+    sorted_negated[p] = negated[row];
+  });
   EXPECT_TRUE(kreg::sort::is_sorted(std::span<const double>(sorted)));
+  for (std::size_t p = 0; p < sorted.size(); ++p) {
+    EXPECT_EQ(sorted_negated[p], -sorted[p]);
+  }
 }
 
 TEST(Argsort, EmptyInput) {
   const std::vector<double> empty;
-  EXPECT_TRUE(kreg::sort::argsort(std::span<const double>(empty)).empty());
+  EXPECT_EQ(kreg::sort::argsort(std::span<const double>(empty),
+                                [](std::size_t, std::size_t) { return false; })
+                .size(),
+            0u);
+  EXPECT_TRUE(kreg::sort::sorted_keys(empty).empty());
+}
+
+TEST(Argsort, SingleRow) {
+  const std::vector<double> one = {-3.5};
+  const auto order = kreg::sort::argsort(
+      std::span<const double>(one),
+      [](std::size_t, std::size_t) { return false; });
+  ASSERT_EQ(order.size(), 1u);
+  std::size_t calls = 0;
+  order.for_each([&](std::size_t p, std::size_t row) {
+    EXPECT_EQ(p, 0u);
+    EXPECT_EQ(row, 0u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(order.keys()[0], -3.5);
+}
+
+TEST(Argsort, TiesFollowTheTieKeyAndNegativeZeroPrecedesPositiveZero) {
+  // Each key value repeats with shuffled tie keys; ±0.0 compare equal as
+  // doubles but are distinct keys, −0.0 first.
+  std::vector<double> keys;
+  std::vector<double> ties;
+  Stream s(77);
+  for (std::size_t i = 0; i < 600; ++i) {
+    const double lattice_key[] = {-0.0, 0.0, 1.0, -2.0, 0.5};
+    keys.push_back(lattice_key[i % 5]);
+    ties.push_back(std::round(s.uniform(-4.0, 4.0)) * 0.25);  // tied too
+  }
+  ties[3] = -0.0;
+  ties[8] = 0.0;
+  expect_matches_std_sort(keys, ties);
+  const Columns got = argsort_columns(keys, ties);
+  std::size_t last_negative_zero = 0;
+  std::size_t first_positive_zero = got.keys.size();
+  for (std::size_t p = 0; p < got.keys.size(); ++p) {
+    if (got.keys[p] == 0.0) {
+      if (std::signbit(got.keys[p])) {
+        last_negative_zero = p;
+      } else {
+        first_positive_zero = std::min(first_positive_zero, p);
+      }
+    }
+    if (p > 0 && std::bit_cast<std::uint64_t>(got.keys[p]) ==
+                     std::bit_cast<std::uint64_t>(got.keys[p - 1])) {
+      EXPECT_LE(kreg::sort::ordered_bits(got.ties[p - 1]),
+                kreg::sort::ordered_bits(got.ties[p]))
+          << "tie order at " << p;
+    }
+  }
+  EXPECT_LT(last_negative_zero, first_positive_zero);
+}
+
+TEST(Argsort, NegativesSubnormalsAndInfinities) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double big = std::numeric_limits<double>::max();
+  std::vector<double> keys = {tiny,        -tiny,      min_normal / 2,
+                              -min_normal, min_normal, -min_normal / 3,
+                              inf,         -inf,       big,
+                              -big,        -0.0,       0.0,
+                              -1e-300,     1e-300,     -7.25,
+                              7.25,        3 * tiny,   -3 * tiny};
+  const std::vector<double> extra = random_doubles(200, 31);
+  keys.insert(keys.end(), extra.begin(), extra.end());
+  const std::vector<double> ties(keys.size(), 1.0);
+  expect_matches_std_sort(keys, ties);
+  const std::vector<double> sorted = kreg::sort::sorted_keys(keys);
+  for (std::size_t p = 1; p < sorted.size(); ++p) {
+    EXPECT_LE(sorted[p - 1], sorted[p]) << "at " << p;
+  }
+  EXPECT_EQ(sorted.front(), -inf);
+  EXPECT_EQ(sorted.back(), inf);
+}
+
+TEST(Argsort, ConstantDigitsAreSkipped) {
+  // Keys in [1, 2) share sign and exponent, so the top 11-bit digit is
+  // constant and five passes run; integers below 512 leave every fraction
+  // bit under bit 44 zero (two passes); 1 + m·2⁻⁵² for m < 2048 varies in
+  // the lowest digit alone (one pass, no scratch half). Odd and even pass
+  // counts must both land in the result.
+  const std::size_t n = 5000;
+  std::vector<double> unit = random_doubles(n, 41);
+  for (double& x : unit) {
+    x = 1.0 + std::abs(x) / 128.0;
+  }
+  std::vector<double> integers(n);
+  std::vector<double> lowest(n);
+  Stream s(43);
+  for (std::size_t i = 0; i < n; ++i) {
+    integers[i] = std::floor(s.uniform(0.0, 512.0));
+    lowest[i] = 1.0 + std::floor(s.uniform(0.0, 2048.0)) * 0x1p-52;
+  }
+  const std::vector<double> ties = random_doubles(n, 47);
+  expect_matches_std_sort(unit, ties);
+  expect_matches_std_sort(integers, ties);
+  expect_matches_std_sort(lowest, ties);
+  // Every digit constant: one key repeated, ordered by the ties alone.
+  expect_matches_std_sort(std::vector<double>(n, 2.5), ties);
+}
+
+TEST(Argsort, GrainEdges) {
+  kreg::parallel::ThreadPool pool(4);
+  for (const std::size_t n :
+       {kreg::sort::kRadixGrain - 1, kreg::sort::kRadixGrain,
+        kreg::sort::kRadixGrain + 1, 3 * kreg::sort::kRadixGrain + 7}) {
+    SCOPED_TRACE(n);
+    expect_matches_std_sort(lattice(n, n, 0.5), random_doubles(n, n + 1),
+                            &pool);
+  }
+}
+
+TEST(Argsort, MatchesStdSortAtTwoToTheTwenty) {
+  const std::size_t n = std::size_t{1} << 20;
+  expect_matches_std_sort(lattice(n, 5, 0.001), lattice(n, 6, 0.5));
+  expect_matches_std_sort(random_doubles(n, 7), random_doubles(n, 8));
+}
+
+TEST(Argsort, SameRowsOnEveryPoolAndFromAWorker) {
+  const std::size_t n = 5 * kreg::sort::kRadixGrain + 3;
+  const std::vector<double> keys = lattice(n, 11, 0.01);
+  const std::vector<double> ties = lattice(n, 12, 1.0);
+  const auto by_tie = [&](std::size_t a, std::size_t b) {
+    return kreg::sort::ordered_bits(ties[a]) <
+           kreg::sort::ordered_bits(ties[b]);
+  };
+  const auto rows_of = [](const kreg::sort::Ordering& order) {
+    std::vector<std::size_t> rows(order.size());
+    order.for_each([&](std::size_t p, std::size_t row) { rows[p] = row; });
+    return rows;
+  };
+  kreg::parallel::ThreadPool one(1);
+  const std::vector<std::size_t> want =
+      rows_of(kreg::sort::argsort(std::span<const double>(keys), by_tie, &one));
+  for (const std::size_t workers : {2, 4}) {
+    kreg::parallel::ThreadPool pool(workers);
+    EXPECT_EQ(rows_of(kreg::sort::argsort(std::span<const double>(keys),
+                                          by_tie, &pool)),
+              want)
+        << workers << " workers";
+    // From one of the pool's own workers the parts run in order there.
+    std::vector<std::size_t> nested;
+    kreg::parallel::parallel_for(
+        1,
+        [&](std::size_t) {
+          nested = rows_of(kreg::sort::argsort(std::span<const double>(keys),
+                                               by_tie, &pool));
+        },
+        &pool);
+    EXPECT_EQ(nested, want) << "nested on " << workers << " workers";
+  }
 }
 
 // ---- Checks helpers --------------------------------------------------------
